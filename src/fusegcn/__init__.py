@@ -2,7 +2,6 @@
 
 from .graphs import (
     Graph,
-    SparseMatrix,
     degree_stats,
     homophily_ratio,
     knn_feature_graph,

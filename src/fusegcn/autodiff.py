@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .graphs import SparseMatrix
+import scipy.sparse as sp
 
 PROB_FLOOR = 1e-12  # cross-entropy clamp; log is undefined at exact zeros
 
@@ -108,15 +107,15 @@ def matmul(a: TensorNode, b: TensorNode) -> TensorNode:
     return out
 
 
-def spmm(p: SparseMatrix, h: TensorNode) -> TensorNode:
+def spmm(p: sp.csr_array, h: TensorNode) -> TensorNode:
     """Sparse-constant @ dense-node product; gradient flows through `h` only."""
     tape = h.tape
-    if p.n_cols != h.shape[0]:
-        raise ValueError(f"spmm shape mismatch: {p.n_rows}x{p.n_cols} @ {h.shape}")
-    out = tape.tensor(p.matmul_dense(h.value))
+    if p.shape[1] != h.shape[0]:
+        raise ValueError(f"spmm shape mismatch: {p.shape} @ {h.shape}")
+    out = tape.tensor(p @ h.value)
 
     def bwd():
-        h.grad += p.transpose().matmul_dense(out.grad)
+        h.grad += p.T @ out.grad
 
     tape._record(bwd)
     return out

@@ -1,4 +1,4 @@
-"""Graph container, CSR sparse matrices, homophily measurement, kNN feature graph.
+"""Graph container, normalized adjacency, homophily measurement, kNN feature graph.
 
 Edges are undirected, stored canonically as (i, j) with i < j, sorted
 lexicographically and free of duplicates and self-loops. All operations here
@@ -7,11 +7,10 @@ are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from ._kernels import spmm_csr, topk_rows
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -77,71 +76,6 @@ def canonical_edges(edges, n_nodes) -> np.ndarray:
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
 
 
-@dataclass
-class SparseMatrix:
-    """CSR matrix; column indices strictly increasing per row, no stored zeros."""
-
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray   # (n_rows + 1,) int64
-    indices: np.ndarray  # (nnz,) int64
-    data: np.ndarray     # (nnz,) float64
-    _transpose: "SparseMatrix | None" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.indptr.shape != (self.n_rows + 1,) or self.indptr[0] != 0:
-            raise ValueError("bad indptr")
-        if self.indptr[-1] != self.indices.shape[0] or self.indices.shape != self.data.shape:
-            raise ValueError("indices/data length mismatch")
-        if self.indices.shape[0]:
-            if self.indices.min() < 0 or self.indices.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            d = np.diff(self.indices)
-            if d.shape[0]:
-                # positions crossing a row boundary are exempt from the ordering check
-                within_row = np.ones(d.shape[0], dtype=bool)
-                breaks = self.indptr[1:-1]
-                breaks = breaks[(breaks > 0) & (breaks <= d.shape[0])]
-                within_row[breaks - 1] = False
-                if np.any(d[within_row] <= 0):
-                    raise ValueError("column indices not strictly increasing within a row")
-        if np.any(self.data == 0.0):
-            raise ValueError("explicit zero entry")
-
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        counts = np.bincount(rows, minlength=n_rows)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(n_rows, n_cols, indptr, cols, vals)
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.shape[0]
-
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        if dense.shape[0] != self.n_cols:
-            raise ValueError(f"shape mismatch: {self.n_rows}x{self.n_cols} @ {dense.shape}")
-        return spmm_csr(self.indptr, self.indices, self.data, np.ascontiguousarray(dense))
-
-    def transpose(self) -> "SparseMatrix":
-        if self._transpose is None:
-            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
-            t = SparseMatrix.from_coo(self.n_cols, self.n_rows, self.indices, rows, self.data)
-            self._transpose = t
-        return self._transpose
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
-
-
 def degree_stats(g: Graph) -> np.ndarray:
     """Per-node degree, self-loops excluded (there are none by construction)."""
     deg = np.zeros(g.n_nodes, dtype=np.int64)
@@ -151,12 +85,13 @@ def degree_stats(g: Graph) -> np.ndarray:
     return deg
 
 
-def normalized_adjacency(g: Graph) -> SparseMatrix:
+def normalized_adjacency(g: Graph) -> sp.csr_array:
     """Symmetric degree-normalized adjacency with self-loops added.
 
     Entry (i, j) is 1/sqrt(deg_i * deg_j) where deg counts the added
     self-loop, for every edge of the self-loop-augmented graph. Isolated
-    nodes end up with a single diagonal entry of 1.
+    nodes end up with a single diagonal entry of 1. Column indices are
+    sorted within each row, so every product sums a row in column order.
     """
     deg = degree_stats(g) + 1.0
     n = g.n_nodes
@@ -164,7 +99,9 @@ def normalized_adjacency(g: Graph) -> SparseMatrix:
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], loops])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], loops])
     vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    p = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+    p.sort_indices()
+    return p
 
 
 def homophily_ratio(g: Graph) -> float:
@@ -198,7 +135,7 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     xn = x / norms[:, None]
     sim = xn @ xn.T
     np.fill_diagonal(sim, -np.inf)
-    nbrs = topk_rows(sim, k)
+    nbrs = np.argsort(-sim, axis=1, kind="stable")[:, :k]
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edges = canonical_edges(np.stack([src, nbrs.ravel()], axis=1), n)
     return Graph(n, edges, x, None)

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tape, TensorNode
-from .graphs import SparseMatrix
 
 ATTENTION_VARIANTS = ("sigmoid", "softmax")
 RESIDUAL_FORMS = ("gcn", "literal")
@@ -42,6 +42,8 @@ class ModelParams:
     @classmethod
     def init(cls, n_features: int, n_classes: int, hidden: int, rng,
              combiner_depth: int = 1) -> "ModelParams":
+        if combiner_depth not in (1, 2):
+            raise ValueError("combiner_depth must be 1 or 2")
         h = hidden
         a = {}
         a["input_w1"] = glorot(rng, n_features, h)
@@ -55,16 +57,11 @@ class ModelParams:
         a["anchor_b1"] = np.zeros((1, h))
         a["anchor_w2"] = glorot(rng, h, h)
         a["anchor_b2"] = np.zeros((1, h))
-        if combiner_depth == 1:
-            a["comb_w0"] = glorot(rng, 2 * h, h)
-            a["comb_b0"] = np.zeros((1, h))
-        elif combiner_depth == 2:
-            a["comb_w0"] = glorot(rng, 2 * h, h)
-            a["comb_b0"] = np.zeros((1, h))
+        a["comb_w0"] = glorot(rng, 2 * h, h)
+        a["comb_b0"] = np.zeros((1, h))
+        if combiner_depth == 2:
             a["comb_w1"] = glorot(rng, h, h)
             a["comb_b1"] = np.zeros((1, h))
-        else:
-            raise ValueError("combiner_depth must be 1 or 2")
         for ch in ("t", "f", "c"):
             a[f"att_{ch}_w1"] = glorot(rng, h, h)
             a[f"att_{ch}_b1"] = np.zeros((1, h))
@@ -121,7 +118,7 @@ def input_mlp(x, w1, b1, w2, b2):
     return mlp_two_layer(x, w1, b1, w2, b2)
 
 
-def residual_gcn_layer(p: SparseMatrix, h_l, h_0, w, prop_weight: float,
+def residual_gcn_layer(p: sp.csr_array, h_l, h_0, w, prop_weight: float,
                        form: str = "gcn"):
     """One encoder layer: prop_weight * ReLU(P h_l W) + (1 - prop_weight) * h_0.
 
@@ -139,7 +136,7 @@ def residual_gcn_layer(p: SparseMatrix, h_l, h_0, w, prop_weight: float,
     return ad.add_scaled(propagated, h_0, prop_weight, 1.0 - prop_weight)
 
 
-def encoder_forward(p: SparseMatrix, h0, w0, w1, prop_weight: float, form: str = "gcn"):
+def encoder_forward(p: sp.csr_array, h0, w0, w1, prop_weight: float, form: str = "gcn"):
     """Two stacked residual layers, both anchored to the encoder input h0."""
     h1 = residual_gcn_layer(p, h0, h0, w0, prop_weight, form)
     return residual_gcn_layer(p, h1, h0, w1, prop_weight, form)
@@ -194,7 +191,7 @@ def predict(z_tilde_t, z_tilde_f, w, b):
     return z_hat, ad.softmax_rows(ad.add_row_bias(ad.matmul(z_hat, w), b))
 
 
-def forward_full(tape: Tape, params: ModelParams, p_t: SparseMatrix, p_f: SparseMatrix,
+def forward_full(tape: Tape, params: ModelParams, p_t: sp.csr_array, p_f: sp.csr_array,
                  x: np.ndarray, prop_weight: float, common_mix: float,
                  attention_variant: str = "sigmoid", residual_form: str = "gcn") -> ForwardState:
     """One full forward pass; returns every intermediate plus parameter leaves."""
@@ -226,7 +223,7 @@ def baseline_init(n_features: int, n_classes: int, hidden: int, rng) -> dict[str
     return {"w0": glorot(rng, n_features, hidden), "w1": glorot(rng, hidden, n_classes)}
 
 
-def gcn_baseline_forward(tape: Tape, p: SparseMatrix, x: np.ndarray,
+def gcn_baseline_forward(tape: Tape, p: sp.csr_array, x: np.ndarray,
                          params: dict[str, np.ndarray]):
     """Two-layer GCN, no residual: softmax(P relu(P X W0) W1).
 
@@ -238,8 +235,3 @@ def gcn_baseline_forward(tape: Tape, p: SparseMatrix, x: np.ndarray,
     h1 = ad.relu(ad.matmul(ad.spmm(p, x_node), leaves["w0"]))
     y_hat = ad.softmax_rows(ad.matmul(ad.spmm(p, h1), leaves["w1"]))
     return y_hat, leaves
-
-
-def knn_gcn_baseline_forward(tape: Tape, p_f: SparseMatrix, x: np.ndarray,
-                             params: dict[str, np.ndarray]):
-    return gcn_baseline_forward(tape, p_f, x, params)

@@ -1,11 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from fusegcn import autodiff as ad
 from fusegcn.autodiff import Tape, TapeError, backward, finite_diff_check
-from fusegcn.graphs import SparseMatrix, normalized_adjacency
-from tests.test_graphs import make_graph
+from fusegcn.graphs import normalized_adjacency
+from tests.test_graphs import make_graph, random_labeled_graph
 
 
 def fd_gradient(build_loss, values, eps=1e-5):
@@ -76,7 +77,7 @@ class TestForwardValues:
 
     def test_spmm_identity(self):
         t = Tape()
-        p = SparseMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
+        p = sp.csr_array(np.eye(3))
         h = t.tensor(np.arange(6.0).reshape(3, 2))
         npt.assert_array_equal(ad.spmm(p, h).value, h.value)
 
@@ -90,7 +91,24 @@ class TestForwardValues:
         t = Tape()
         p = normalized_adjacency(make_graph(3, [(0, 1), (1, 2)]))
         h = t.tensor(np.eye(3))
-        npt.assert_allclose(ad.spmm(p, h).value, p.to_dense() @ np.eye(3), rtol=1e-14)
+        npt.assert_allclose(ad.spmm(p, h).value, p.toarray() @ np.eye(3), rtol=1e-14)
+
+    def test_spmm_matches_dense_on_random_graphs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            p = normalized_adjacency(random_labeled_graph(rng))
+            h = rng.standard_normal((p.shape[1], 5))
+            npt.assert_allclose(ad.spmm(p, Tape().tensor(h)).value, p.toarray() @ h,
+                                rtol=1e-12)
+
+    def test_spmm_empty_operand(self):
+        p = sp.csr_array((3, 7))
+        npt.assert_array_equal(ad.spmm(p, Tape().tensor(np.ones((7, 2)))).value,
+                               np.zeros((3, 2)))
+
+    def test_spmm_shape_error(self):
+        with pytest.raises(ValueError):
+            ad.spmm(sp.csr_array((3, 7)), Tape().tensor(np.ones((3, 2))))
 
     def test_relu(self):
         t = Tape()
@@ -328,6 +346,15 @@ def test_spmm_gradient_matches_finite_differences():
                            if rng.random() < 0.4], seed=seed)
         p = normalized_adjacency(g)
         h = rng.standard_normal((n, int(rng.integers(1, 6))))
+        check_op_gradient(lambda t, ns: sum_sq(ad.spmm(p, ns[0])), [h])
+    # rectangular operands: a backward that drops the transpose fails here
+    for seed in range(20):
+        rng = np.random.default_rng(200 + seed)
+        rows, cols = rng.integers(1, 8, size=2)
+        if rows == cols:
+            cols += 1
+        p = sp.csr_array(rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.5))
+        h = rng.standard_normal((cols, int(rng.integers(1, 6))))
         check_op_gradient(lambda t, ns: sum_sq(ad.spmm(p, ns[0])), [h])
 
 

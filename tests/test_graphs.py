@@ -4,7 +4,6 @@ import pytest
 
 from fusegcn.graphs import (
     Graph,
-    SparseMatrix,
     canonical_edges,
     degree_stats,
     homophily_ratio,
@@ -59,45 +58,18 @@ class TestGraphInvariants:
         assert canonical_edges([], 4).shape == (0, 2)
 
 
-class TestSparseMatrix:
-    def test_from_coo_roundtrip(self):
-        m = SparseMatrix.from_coo(2, 3, [0, 1, 1], [2, 0, 1], [1.5, 2.0, -1.0])
-        npt.assert_array_equal(m.to_dense(), [[0, 0, 1.5], [2.0, -1.0, 0]])
-
-    def test_unsorted_columns_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 3, np.array([0, 2]), np.array([2, 0]), np.array([1.0, 1.0]))
-
-    def test_explicit_zero_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 2, np.array([0, 1]), np.array([0]), np.array([0.0]))
-
-    def test_matmul_dense_matches_dense(self):
-        rng = np.random.default_rng(3)
-        dense = rng.standard_normal((4, 5))
-        keep = rng.random((3, 4)) < 0.5
-        a = rng.standard_normal((3, 4)) * keep
-        rows, cols = np.nonzero(a)
-        m = SparseMatrix.from_coo(3, 4, rows, cols, a[rows, cols])
-        npt.assert_allclose(m.matmul_dense(dense), a @ dense, rtol=1e-13)
-
-    def test_transpose(self):
-        m = SparseMatrix.from_coo(2, 3, [0, 1], [2, 0], [1.0, 2.0])
-        npt.assert_array_equal(m.transpose().to_dense(), m.to_dense().T)
-
-
 class TestNormalizedAdjacency:
     def test_single_node(self):
         g = make_graph(1, [])
-        npt.assert_array_equal(normalized_adjacency(g).to_dense(), [[1.0]])
+        npt.assert_array_equal(normalized_adjacency(g).toarray(), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         g = make_graph(2, [(0, 1)])
-        npt.assert_array_equal(normalized_adjacency(g).to_dense(), np.full((2, 2), 0.5))
+        npt.assert_array_equal(normalized_adjacency(g).toarray(), np.full((2, 2), 0.5))
 
     def test_path_graph_entry(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        p = normalized_adjacency(g).to_dense()
+        p = normalized_adjacency(g).toarray()
         assert p[0, 1] == pytest.approx(1.0 / np.sqrt(2 * 3), abs=1e-15)
         npt.assert_allclose(p, dense_normalized_adjacency(g), rtol=1e-14)
 
@@ -105,7 +77,7 @@ class TestNormalizedAdjacency:
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = random_labeled_graph(rng)
-            p = normalized_adjacency(g).to_dense()
+            p = normalized_adjacency(g).toarray()
             npt.assert_array_equal(p, p.T)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
@@ -113,15 +85,16 @@ class TestNormalizedAdjacency:
         cycle = [(i, (i + 1) % n) for i in range(n)]
         complete = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for edges in (cycle, complete):
-            p = normalized_adjacency(make_graph(n, edges)).to_dense()
+            p = normalized_adjacency(make_graph(n, edges)).toarray()
             npt.assert_allclose(p.sum(axis=1), np.ones(n), rtol=1e-12)
 
     def test_matches_dense_oracle_random(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_labeled_graph(rng)
-            npt.assert_allclose(normalized_adjacency(g).to_dense(),
-                                dense_normalized_adjacency(g), rtol=1e-13)
+            p = normalized_adjacency(g)
+            assert p.has_sorted_indices
+            npt.assert_allclose(p.toarray(), dense_normalized_adjacency(g), rtol=1e-13)
 
 
 class TestHomophily:
