@@ -247,7 +247,11 @@ def l2_normalize_rows(a: TensorNode) -> TensorNode:
 
 
 def row_gram(a: TensorNode) -> TensorNode:
-    """a @ a.T (pairwise row inner products)."""
+    """a @ a.T (pairwise row inner products).
+
+    Training does not use it; with `frobenius_sq_diff` it is the N x N
+    reference form that tests compare `gram_distance_sq` against.
+    """
     tape = a.tape
     out = tape.tensor(a.value @ a.value.T)
 
@@ -270,6 +274,43 @@ def frobenius_sq_diff(a: TensorNode, b: TensorNode) -> TensorNode:
         g = out.grad[0, 0]
         a.grad += 2.0 * g * diff
         b.grad -= 2.0 * g * diff
+
+    tape._record(bwd)
+    return out
+
+
+def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
+    """||a a^T - b b^T||_F^2 as a scalar node, without forming an N x N matrix.
+
+    With D = a - b and S = a + b, a a^T - b b^T = (D S^T + S D^T) / 2, so the
+    value is (<S^T S, D^T D> + <S^T D, D^T S>) / 2 and only h x h products are
+    formed: O(N h^2) time and O(h^2) extra memory. Every term carries D twice,
+    so near-equal inputs give a value near D's rounding error squared and
+    equal inputs give exactly 0; the expanded form
+    ||a^T a||^2 + ||b^T b||^2 - 2 ||a^T b||^2 cancels to O(1e-15) instead.
+    Where a a^T = b b^T with a != b (b a column rotation of a) the two terms
+    still cancel, to O(1e-12) of either sign, so the value is clamped at 0.
+
+    The gradient 4 (a a^T - b b^T) a = 2 (D S^T a + S D^T a), and its b
+    counterpart, reuse the forward products through a = (S + D) / 2 and
+    b = (S - D) / 2.
+    """
+    tape = _same_tape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"gram_distance_sq shape mismatch: {a.shape} vs {b.shape}")
+    d = a.value - b.value
+    s = a.value + b.value
+    sts = s.T @ s
+    dtd = d.T @ d
+    std = s.T @ d
+    out = tape.tensor([[max(0.5 * (np.sum(sts * dtd) + np.sum(std * std.T)), 0.0)]])
+
+    def bwd():
+        g = out.grad[0, 0]
+        p = d @ sts + s @ std.T
+        q = d @ std + s @ dtd
+        a.grad += g * (p + q)
+        b.grad += g * (q - p)
 
     tape._record(bwd)
     return out

@@ -22,6 +22,15 @@ MAX_SWEEP_LEVEL = 0.95
 SWEEP_LEVELS = 10
 
 
+class InjectionBudgetError(ValueError):
+    """Edge injection used up its draws before finding enough new pairs.
+
+    A ValueError, so the CLI reports it as a data error (exit 2): it happens
+    when the graph's absent cross-label pairs are too few to be found by
+    uniform sampling.
+    """
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     levels: tuple[float, ...]     # target heterophily per step, ascending
@@ -98,10 +107,13 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
 
     rng = np.random.default_rng(seed)
     new_edges = set()
-    budget = 200 * k + 10_000
+    max_draws = 200 * k + 10_000
+    budget = max_draws
     while len(new_edges) < k:
         if budget == 0:
-            raise RuntimeError("edge injection exceeded its sampling budget")
+            raise InjectionBudgetError(
+                f"edge injection exceeded its sampling budget of {max_draws} draws "
+                f"after adding {len(new_edges)} of {k} cross-label edges")
         budget -= 1
         i = int(rng.integers(g.n_nodes))
         y_j = int(np.searchsorted(cum[labels[i]], rng.random(), side="right"))

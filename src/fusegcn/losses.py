@@ -1,10 +1,12 @@
 """The three training objectives and their weighted total.
 
-closeness: squared Frobenius distance between the row-normalized Gram
-matrices of the two common-encoder outputs, pulling the shared views
-together. disparity: negative mean row-wise cosine between each view
-embedding and its common counterpart, pushing them apart. classification:
-masked cross-entropy over the training nodes.
+closeness: squared Frobenius distance between the Gram matrices of the
+two row-normalized common-encoder outputs, pulling the shared views
+together. It is computed in O(N h^2) by `autodiff.gram_distance_sq`,
+without forming either N x N Gram matrix. disparity: negative mean
+row-wise cosine between each view embedding and its common counterpart,
+pushing them apart. classification: masked cross-entropy over the training
+nodes.
 """
 
 from __future__ import annotations
@@ -32,12 +34,16 @@ class LossWeights:
 def closeness_loss(z_ct, z_cf, normalize: bool = False):
     """||gram(norm(z_ct)) - gram(norm(z_cf))||_F^2.
 
+    Evaluated from h x h products of the difference and the sum of the two
+    normalized outputs (see `autodiff.gram_distance_sq`): O(N h^2) time and
+    no N x N matrix. That form, unlike the expansion into three h x h Gram
+    norms, keeps the value at or near 0 for equal or near-equal inputs
+    instead of cancelling to a small negative number.
+
     `normalize=True` divides by N^2 (the Gram matrices have N^2 entries,
     so the raw value grows quadratically with the node count).
     """
-    s_t = ad.row_gram(ad.l2_normalize_rows(z_ct))
-    s_f = ad.row_gram(ad.l2_normalize_rows(z_cf))
-    out = ad.frobenius_sq_diff(s_t, s_f)
+    out = ad.gram_distance_sq(ad.l2_normalize_rows(z_ct), ad.l2_normalize_rows(z_cf))
     if normalize:
         n = z_ct.shape[0]
         out = ad.scale(out, 1.0 / (n * n))

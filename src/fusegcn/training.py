@@ -190,6 +190,17 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[labels]
 
 
+def check_finite_losses(epoch: int, terms: dict[str, float]) -> None:
+    """Raise ValueError naming the epoch and every non-finite loss term.
+
+    Called before backward: once a loss is NaN or infinite, every later
+    update and the reported accuracy are meaningless.
+    """
+    bad = [f"{name}={value}" for name, value in terms.items() if not np.isfinite(value)]
+    if bad:
+        raise ValueError(f"non-finite loss at epoch {epoch}: {', '.join(bad)}")
+
+
 def train(g: Graph, g_f: Graph, cfg: TrainConfig):
     """Full-batch training of the three-channel model.
 
@@ -224,13 +235,16 @@ def train(g: Graph, g_f: Graph, cfg: TrainConfig):
         l_c = L.closeness_loss(fs.z_ct, fs.z_cf, cfg.normalize_closeness)
         l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
         l_total = L.total_loss(l_cl, l_c, l_d, cfg.loss_weights)
+        terms = {"total": l_total.item(), "classification": l_cl.item(),
+                 "closeness": l_c.item(), "disparity": l_d.item()}
+        check_finite_losses(epoch, terms)
 
         train_acc, _ = evaluate(fs.y_hat.value, g.labels, split.train)
         val_acc, _ = evaluate(fs.y_hat.value, g.labels, split.val)
         test_acc, _ = evaluate(fs.y_hat.value, g.labels, split.test)
         attn = attention_norm_trace(fs.att_t.value, fs.att_f.value, fs.att_c.value)
-        records.append(EpochRecord(epoch, l_total.item(), l_cl.item(), l_c.item(),
-                                   l_d.item(), train_acc, val_acc, test_acc, *attn))
+        records.append(EpochRecord(epoch, *terms.values(),
+                                   train_acc, val_acc, test_acc, *attn))
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
@@ -277,11 +291,13 @@ def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | No
         y_hat, leaves = M.gcn_baseline_forward(tape, p, g.features, params)
         l_cl = L.classification_loss(y_hat, y, split.train, cfg.ce_reduction)
         loss = ad.scale(l_cl, cfg.loss_weights.classification)
+        terms = {"total": loss.item(), "classification": l_cl.item()}
+        check_finite_losses(epoch, terms)
 
         train_acc, _ = evaluate(y_hat.value, g.labels, split.train)
         val_acc, _ = evaluate(y_hat.value, g.labels, split.val)
         test_acc, _ = evaluate(y_hat.value, g.labels, split.test)
-        records.append(EpochRecord(epoch, loss.item(), l_cl.item(), 0.0, 0.0,
+        records.append(EpochRecord(epoch, *terms.values(), 0.0, 0.0,
                                    train_acc, val_acc, test_acc, 0.0, 0.0, 0.0))
         if val_acc > best_val:
             best_val = val_acc

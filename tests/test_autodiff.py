@@ -294,6 +294,7 @@ OP_CASES = {
     "l2_normalize_rows": lambda t, ns: sum_sq(ad.l2_normalize_rows(ns[0])),
     "row_gram": lambda t, ns: sum_sq(ad.row_gram(ns[0])),
     "frobenius_sq_diff": lambda t, ns: ad.frobenius_sq_diff(ns[0], ns[1]),
+    "gram_distance_sq": lambda t, ns: ad.gram_distance_sq(ns[0], ns[1]),
     "mean_row_cosine": lambda t, ns: ad.mean_row_cosine(ns[0], ns[1]),
     "spmm": None,  # handled separately (needs a sparse operand)
     "channel_softmax3": lambda t, ns: sum_sq(
@@ -316,7 +317,7 @@ def build_values(name, rng):
         return [v]
     if name == "add_row_bias":
         return [rng.standard_normal((r, c)), rng.standard_normal((1, c))]
-    if name in ("add_scaled", "hadamard", "frobenius_sq_diff"):
+    if name in ("add_scaled", "hadamard", "frobenius_sq_diff", "gram_distance_sq"):
         return [rng.standard_normal((r, c)), rng.standard_normal((r, c))]
     if name == "concat_cols":
         return [rng.standard_normal((r, c)), rng.standard_normal((r, int(rng.integers(1, 9))))]
@@ -356,6 +357,58 @@ def test_spmm_gradient_matches_finite_differences():
         p = sp.csr_array(rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.5))
         h = rng.standard_normal((cols, int(rng.integers(1, 6))))
         check_op_gradient(lambda t, ns: sum_sq(ad.spmm(p, ns[0])), [h])
+
+
+class TestGramDistanceSq:
+    """`gram_distance_sq` against the N x N reference form it replaces."""
+
+    @staticmethod
+    def fused_and_reference(a, b):
+        results = []
+        for build in (ad.gram_distance_sq,
+                      lambda x, y: ad.frobenius_sq_diff(ad.row_gram(x), ad.row_gram(y))):
+            t = Tape()
+            x, y = t.tensor(a), t.tensor(b)
+            loss = build(x, y)
+            backward(t, loss)
+            results.append((loss.item(), x.grad, y.grad))
+        return results
+
+    @pytest.mark.parametrize("n, h", [(40, 6), (5, 12), (1, 4), (1, 1), (300, 64)])
+    @pytest.mark.parametrize("near_equal", [False, True])
+    def test_matches_gram_form(self, n, h, near_equal):
+        rng = np.random.default_rng(n * 100 + h)
+        a = rng.standard_normal((n, h))
+        if near_equal:
+            # the reference subtracts Gram matrices that agree to about 6
+            # digits, so it keeps only about 10 of float64's 16
+            b, tol = a + 1e-6 * rng.standard_normal((n, h)), 1e-8
+        else:
+            b, tol = rng.standard_normal((n, h)), 1e-12
+        (v, ga, gb), (v_ref, ga_ref, gb_ref) = self.fused_and_reference(a, b)
+        assert v == pytest.approx(v_ref, rel=tol)
+        for g, g_ref in ((ga, ga_ref), (gb, gb_ref)):
+            npt.assert_allclose(g, g_ref, rtol=tol, atol=tol * np.abs(g_ref).max())
+
+    def test_equal_inputs_exact_zero(self):
+        a = np.random.default_rng(7).standard_normal((9, 3))
+        v, ga, gb = self.fused_and_reference(a, a.copy())[0]
+        assert v == 0.0
+        assert not ga.any() and not gb.any()
+
+    def test_rotated_copy_nonnegative(self):
+        # a a^T == (a q)(a q)^T for orthogonal q, while a q != a
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            a = rng.standard_normal((30, 5))
+            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            v = self.fused_and_reference(a, a @ q)[0][0]
+            assert 0.0 <= v < 1e-10
+
+    def test_shape_error(self):
+        t = Tape()
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.gram_distance_sq(t.tensor(np.ones((4, 3))), t.tensor(np.ones((4, 2))))
 
 
 class TestOutputInvariants:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from fusegcn import cli, heterophily
 from fusegcn.cli import cli_dispatch
 from fusegcn.dataio import load_dataset, save_dataset
 from fusegcn.graphs import homophily_ratio
-from fusegcn.heterophily import SynthSpec, generate_synthetic
+from fusegcn.heterophily import InjectionBudgetError, SynthSpec, generate_synthetic
 from tests.test_graphs import make_graph
 
 
@@ -77,6 +78,13 @@ class TestTrainCommand:
         losses = {r.split(",")[1] for r in rows}
         assert len(losses) == 1
 
+    def test_non_finite_loss_exits_2(self, synth_ds, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, lr=1e30)
+        with np.errstate(all="ignore"):
+            assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                                 "--out", str(tmp_path / "diverged")]) == 2
+        assert "error: non-finite loss at epoch" in capsys.readouterr().err
+
     def test_determinism_byte_identical_traces(self, synth_ds, tmp_path):
         cfg = tiny_config(tmp_path)
         rc1 = cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
@@ -126,6 +134,20 @@ class TestGraphCommands:
         after = homophily_ratio(load_dataset(out))
         assert after <= before
         assert (1.0 - after) == pytest.approx(0.6, abs=0.01)
+
+    def test_injection_budget_overrun_exits_2(self, synth_ds, tmp_path, monkeypatch, capsys):
+        def out_of_draws(g, k, seed):
+            raise InjectionBudgetError("edge injection exceeded its sampling budget")
+
+        monkeypatch.setattr(cli, "inject_heterophilous_edges", out_of_draws)
+        monkeypatch.setattr(heterophily, "inject_heterophilous_edges", out_of_draws)
+        assert cli_dispatch(["inject", "--data", str(synth_ds), "--target-het", "0.6",
+                             "--out", str(tmp_path / "injected")]) == 2
+        assert "error: edge injection exceeded" in capsys.readouterr().err
+        assert cli_dispatch(["sweep", "--data", str(synth_ds), "--config",
+                             str(tiny_config(tmp_path)), "--out", str(tmp_path / "sw"),
+                             "--levels", "2"]) == 2
+        assert "error: edge injection exceeded" in capsys.readouterr().err
 
     def test_inject_seed_reproducible(self, synth_ds, tmp_path):
         for name in ("a", "b"):

@@ -4,6 +4,7 @@ import pytest
 
 from fusegcn.graphs import Graph, homophily_ratio
 from fusegcn.heterophily import (
+    InjectionBudgetError,
     SynthSpec,
     SweepPlan,
     generate_synthetic,
@@ -101,6 +102,16 @@ class TestInjection:
         labels = np.array([0, 0, 1])
         g = make_graph(3, [(0, 2), (1, 2)], labels=labels)
         with pytest.raises(ValueError, match="cannot add"):
+            inject_heterophilous_edges(g, 1, seed=0)
+
+    def test_sampling_budget_overrun_errors(self):
+        # every cross pair but one is present: a uniform draw finds the last
+        # one with probability 1/40000, so the 10,200 draws run out at this seed
+        labels = np.repeat([0, 1], 200)
+        left, right = np.meshgrid(np.arange(200), np.arange(200, 400), indexing="ij")
+        edges = np.stack([left.ravel(), right.ravel()], axis=1)[1:]
+        g = Graph(400, edges, np.zeros((400, 1)), labels)
+        with pytest.raises(InjectionBudgetError, match="0 of 1 cross-label edges"):
             inject_heterophilous_edges(g, 1, seed=0)
 
     def test_target_label_proportional_to_class_size(self):

@@ -207,6 +207,21 @@ class TestTrain:
         assert [r.epoch for r in trace.records] == [1, 2, 3, 4, 5]
 
 
+class TestNonFiniteLoss:
+    def test_diverging_run_raises_at_first_non_finite_epoch(self):
+        # lr=1e30 blows the parameters up in the first updates, so a later
+        # forward pass produces NaN losses
+        g, g_f = small_dataset(seed=0, n=120)
+        cfg = small_cfg(lr=1e30)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite loss at epoch 2: total=nan, "
+                               "classification=nan, closeness=nan, disparity=nan"):
+                train(g, g_f, cfg)
+            with pytest.raises(ValueError, match="non-finite loss at epoch 6: total=nan, "
+                               "classification=nan"):
+                train_baseline(g, cfg)
+
+
 class TestTrainBaseline:
     def test_baseline_runs_and_is_deterministic(self):
         g, g_f = small_dataset(seed=11)
