@@ -1,10 +1,21 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
-A ``Tape`` owns every node created during one forward pass. Operations
-validate shapes eagerly, compute their value, and record a backward closure;
-``backward`` replays the closures in exact reverse order, accumulating
-gradients into ``node.grad``. All values are 2-D float64 arrays; scalars are
-(1, 1). A tape is single-owner: one step builds and consumes one tape.
+A ``Tape`` records one backward closure per operation. ``backward`` replays
+the closures in exact reverse order and consumes them: afterwards the tape
+holds no node, so reference counting frees a step's arrays as soon as the
+caller drops its nodes, and a second ``backward`` on the same tape is an
+error. All values are 2-D float64 arrays; scalars are (1, 1). A tape is
+single-owner: one step builds and consumes one tape.
+
+Gradients are allocated lazily. A node's first gradient contribution becomes
+its gradient buffer and later ones are added into it, so an operator passing
+its output gradient through unchanged hands over a copy. Reading ``grad`` on
+a node that received no gradient gives zeros of its shape, allocated for
+that read only.
+
+Constant operands (the sparse adjacency, the sparse feature matrix) are not
+nodes: ``spmm`` takes them as plain scipy CSR matrices and sends gradient to
+its dense node operand only.
 
 ``finite_diff_check`` is the independent gradient oracle: central differences
 against whatever gradients the caller's function reports.
@@ -12,7 +23,7 @@ against whatever gradients the caller's function reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,16 +35,32 @@ class TapeError(RuntimeError):
     pass
 
 
-@dataclass
 class TensorNode:
-    value: np.ndarray
-    grad: np.ndarray
-    tape: "Tape" = field(repr=False)
-    tape_id: int
+    """A value on a tape plus the gradient `backward` accumulates for it."""
+
+    __slots__ = ("value", "tape", "_grad")
+
+    def __init__(self, value: np.ndarray, tape: "Tape"):
+        self.value = value
+        self.tape = tape
+        self._grad = None
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient; zeros (not stored) before any contribution."""
+        return np.zeros_like(self.value) if self._grad is None else self._grad
+
+    def _add_grad(self, g: np.ndarray) -> None:
+        """Accumulate `g`; the first contribution is stored, so it must not be
+        a buffer another node owns."""
+        if self._grad is None:
+            self._grad = g
+        else:
+            self._grad += g
 
     def item(self) -> float:
         if self.value.shape != (1, 1):
@@ -46,7 +73,6 @@ class Tape:
 
     def __init__(self):
         self._backward_fns = []
-        self._nodes = []
         self._used = False
 
     def tensor(self, value) -> TensorNode:
@@ -54,17 +80,10 @@ class Tape:
         v = np.asarray(value, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError(f"tape values must be 2-D, got shape {v.shape}")
-        node = TensorNode(v, np.zeros_like(v), self, len(self._nodes))
-        self._nodes.append(node)
-        return node
+        return TensorNode(v, self)
 
     def _record(self, backward_fn):
         self._backward_fns.append(backward_fn)
-
-    def reset_grads(self):
-        for n in self._nodes:
-            n.grad[...] = 0.0
-        self._used = False
 
 
 def _same_tape(*nodes) -> Tape:
@@ -76,17 +95,21 @@ def _same_tape(*nodes) -> Tape:
 
 
 def backward(tape: Tape, loss: TensorNode) -> None:
-    """Populate grads of every node reachable from `loss` (a scalar node)."""
+    """Populate grads of every node reachable from `loss` (a scalar node).
+
+    Each closure is dropped as it runs, so the tape ends empty.
+    """
     if loss.tape is not tape:
         raise TapeError("loss node does not belong to this tape")
     if loss.shape != (1, 1):
         raise ValueError("backward requires a scalar (1, 1) loss node")
     if tape._used:
-        raise TapeError("backward already ran on this tape; reset_grads() or build a new tape")
+        raise TapeError("backward already ran on this tape; build a new tape")
     tape._used = True
-    loss.grad[0, 0] = 1.0
-    for fn in reversed(tape._backward_fns):
-        fn()
+    loss._grad = np.ones((1, 1))
+    fns = tape._backward_fns
+    while fns:
+        fns.pop()()
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +123,8 @@ def matmul(a: TensorNode, b: TensorNode) -> TensorNode:
     out = tape.tensor(a.value @ b.value)
 
     def bwd():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        a._add_grad(out.grad @ b.value.T)
+        b._add_grad(a.value.T @ out.grad)
 
     tape._record(bwd)
     return out
@@ -115,7 +138,7 @@ def spmm(p: sp.csr_array, h: TensorNode) -> TensorNode:
     out = tape.tensor(p @ h.value)
 
     def bwd():
-        h.grad += p.T @ out.grad
+        h._add_grad(p.T @ out.grad)
 
     tape._record(bwd)
     return out
@@ -126,7 +149,7 @@ def relu(a: TensorNode) -> TensorNode:
     out = tape.tensor(np.maximum(a.value, 0.0))
 
     def bwd():
-        a.grad += out.grad * (a.value > 0.0)
+        a._add_grad(out.grad * (a.value > 0.0))
 
     tape._record(bwd)
     return out
@@ -138,7 +161,7 @@ def sigmoid(a: TensorNode) -> TensorNode:
     out = tape.tensor(s)
 
     def bwd():
-        a.grad += out.grad * s * (1.0 - s)
+        a._add_grad(out.grad * s * (1.0 - s))
 
     tape._record(bwd)
     return out
@@ -152,8 +175,8 @@ def add_scaled(a: TensorNode, b: TensorNode, wa: float, wb: float) -> TensorNode
     out = tape.tensor(wa * a.value + wb * b.value)
 
     def bwd():
-        a.grad += wa * out.grad
-        b.grad += wb * out.grad
+        a._add_grad(wa * out.grad)
+        b._add_grad(wb * out.grad)
 
     tape._record(bwd)
     return out
@@ -164,7 +187,7 @@ def scale(a: TensorNode, w: float) -> TensorNode:
     out = tape.tensor(w * a.value)
 
     def bwd():
-        a.grad += w * out.grad
+        a._add_grad(w * out.grad)
 
     tape._record(bwd)
     return out
@@ -178,8 +201,8 @@ def add_row_bias(a: TensorNode, bias: TensorNode) -> TensorNode:
     out = tape.tensor(a.value + bias.value)
 
     def bwd():
-        a.grad += out.grad
-        bias.grad += out.grad.sum(axis=0, keepdims=True)
+        a._add_grad(out.grad.copy())
+        bias._add_grad(out.grad.sum(axis=0, keepdims=True))
 
     tape._record(bwd)
     return out
@@ -192,8 +215,8 @@ def hadamard(a: TensorNode, b: TensorNode) -> TensorNode:
     out = tape.tensor(a.value * b.value)
 
     def bwd():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+        a._add_grad(out.grad * b.value)
+        b._add_grad(out.grad * a.value)
 
     tape._record(bwd)
     return out
@@ -207,8 +230,8 @@ def concat_cols(a: TensorNode, b: TensorNode) -> TensorNode:
     split = a.shape[1]
 
     def bwd():
-        a.grad += out.grad[:, :split]
-        b.grad += out.grad[:, split:]
+        a._add_grad(out.grad[:, :split].copy())
+        b._add_grad(out.grad[:, split:].copy())
 
     tape._record(bwd)
     return out
@@ -223,7 +246,7 @@ def softmax_rows(a: TensorNode) -> TensorNode:
 
     def bwd():
         g = out.grad
-        a.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
+        a._add_grad(s * (g - (g * s).sum(axis=1, keepdims=True)))
 
     tape._record(bwd)
     return out
@@ -240,7 +263,7 @@ def l2_normalize_rows(a: TensorNode) -> TensorNode:
 
     def bwd():
         g = out.grad
-        a.grad += (g - (g * y).sum(axis=1, keepdims=True) * y) / r
+        a._add_grad((g - (g * y).sum(axis=1, keepdims=True) * y) / r)
 
     tape._record(bwd)
     return out
@@ -256,7 +279,7 @@ def row_gram(a: TensorNode) -> TensorNode:
     out = tape.tensor(a.value @ a.value.T)
 
     def bwd():
-        a.grad += (out.grad + out.grad.T) @ a.value
+        a._add_grad((out.grad + out.grad.T) @ a.value)
 
     tape._record(bwd)
     return out
@@ -272,8 +295,8 @@ def frobenius_sq_diff(a: TensorNode, b: TensorNode) -> TensorNode:
 
     def bwd():
         g = out.grad[0, 0]
-        a.grad += 2.0 * g * diff
-        b.grad -= 2.0 * g * diff
+        a._add_grad(2.0 * g * diff)
+        b._add_grad(-2.0 * g * diff)
 
     tape._record(bwd)
     return out
@@ -309,8 +332,8 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
         g = out.grad[0, 0]
         p = d @ sts + s @ std.T
         q = d @ std + s @ dtd
-        a.grad += g * (p + q)
-        b.grad += g * (q - p)
+        a._add_grad(g * (p + q))
+        b._add_grad(g * (q - p))
 
     tape._record(bwd)
     return out
@@ -331,8 +354,8 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
 
     def bwd():
         g = out.grad[0, 0] / n
-        a.grad += g * (b.value / (ra * rb) - cos * a.value / (ra * ra))
-        b.grad += g * (a.value / (ra * rb) - cos * b.value / (rb * rb))
+        a._add_grad(g * (b.value / (ra * rb) - cos * a.value / (ra * ra)))
+        b._add_grad(g * (a.value / (ra * rb) - cos * b.value / (rb * rb)))
 
     tape._record(bwd)
     return out
@@ -367,7 +390,7 @@ def masked_cross_entropy(pred: TensorNode, y_onehot: np.ndarray, mask: np.ndarra
     def bwd():
         g = out.grad[0, 0] / denom
         active = pred.value >= PROB_FLOOR
-        pred.grad -= g * in_mask * y * active / p
+        pred._add_grad(-(g * in_mask * y * active / p))
 
     tape._record(bwd)
     return out
@@ -394,7 +417,7 @@ def channel_softmax3(a: TensorNode, b: TensorNode, c: TensorNode):
         dot = (g * w).sum(axis=0, keepdims=True)
         dx = w * (g - dot)
         for k in range(3):
-            ins[k].grad += dx[k]
+            ins[k]._add_grad(dx[k])
 
     tape._record(bwd)
     return outs

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dataio
 from .autodiff import Tape
@@ -141,7 +142,7 @@ def _cmd_eval(args) -> int:
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     tape = Tape()
     fs = M.forward_full(tape, params, normalized_adjacency(g), normalized_adjacency(g_f),
-                        g.features, cfg.prop_weight, cfg.common_mix,
+                        sp.csr_array(g.features), cfg.prop_weight, cfg.common_mix,
                         cfg.attention_variant, cfg.residual_form)
     split = make_split(g, cfg, cfg.seed)
     out = {}

@@ -8,6 +8,9 @@ A dataset is a directory of TSV files with headers:
     features.tsv          node_id f0 .. f{d-1}     (dense), OR
     features.sparse.tsv   node_id feature_index value triples
 
+Feature values must be finite, and a sparse file names each (node_id,
+feature_index) pair at most once.
+
 Saving canonicalizes ordering, so a load/save round trip is byte-stable.
 Config files are flat `key = value` lines with `#` comments; unknown keys
 are an error.
@@ -89,6 +92,15 @@ def _parse_int(token: str, path: Path, lineno: int) -> int:
         raise DatasetError(f"{path}:{lineno}: expected an integer, got {token!r}") from None
 
 
+def _raise_first_duplicate(rows, cols, path: Path):
+    first_line = {}
+    for ln, key in enumerate(zip(rows, cols), start=2):
+        seen = first_line.setdefault(key, ln)
+        if seen != ln:
+            raise DatasetError(f"{path}:{ln}: duplicate entry for node {key[0]}, "
+                               f"feature {key[1]} (first on line {seen})")
+
+
 def load_dataset(path) -> Graph:
     """Load a dataset directory into a Graph, validating as it goes."""
     path = Path(path)
@@ -168,8 +180,12 @@ def load_dataset(path) -> Graph:
                 x[node_id] = [float(t) for t in parts[1:]]
             except ValueError:
                 raise DatasetError(f"{dense_path}:{ln}: malformed float") from None
+        bad_rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad_rows.size:   # row i is on line i + 2
+            raise DatasetError(f"{dense_path}:{bad_rows[0] + 2}: non-finite feature value")
     elif sparse_path.is_file():
         _, feat_rows = _read_rows(sparse_path, ["node_id", "feature_index", "value"])
+        rows, cols, values = [], [], []
         for ln, row in enumerate(feat_rows, start=2):
             parts = row.split("\t")
             if len(parts) != 3:
@@ -179,9 +195,18 @@ def load_dataset(path) -> Graph:
             if not (0 <= node_id < n and 0 <= fidx < d):
                 raise DatasetError(f"{sparse_path}:{ln}: index out of range")
             try:
-                x[node_id, fidx] = float(parts[2])
+                values.append(float(parts[2]))
             except ValueError:
                 raise DatasetError(f"{sparse_path}:{ln}: malformed float") from None
+            rows.append(node_id)
+            cols.append(fidx)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:    # entry i is on line i + 2
+            raise DatasetError(f"{sparse_path}:{bad[0] + 2}: non-finite feature value")
+        keys = np.sort(np.array(rows, dtype=np.int64) * d + np.array(cols, dtype=np.int64))
+        if np.any(keys[1:] == keys[:-1]):
+            _raise_first_duplicate(rows, cols, sparse_path)
+        x[rows, cols] = values
     else:
         raise DatasetError(f"{path}: missing features.tsv (or features.sparse.tsv)")
 

@@ -114,8 +114,14 @@ def mlp_two_layer(x, w1, b1, w2, b2):
     return ad.add_row_bias(ad.matmul(ad.relu(ad.add_row_bias(ad.matmul(x, w1), b1)), w2), b2)
 
 
-def input_mlp(x, w1, b1, w2, b2):
-    return mlp_two_layer(x, w1, b1, w2, b2)
+def input_mlp(x: sp.csr_array, w1, b1, w2, b2):
+    """`mlp_two_layer` on the constant sparse feature matrix `x`.
+
+    The first product is an `spmm`: it skips the zero features and sends no
+    gradient to `x`, which nothing would read.
+    """
+    hidden = ad.relu(ad.add_row_bias(ad.spmm(x, w1), b1))
+    return ad.add_row_bias(ad.matmul(hidden, w2), b2)
 
 
 def residual_gcn_layer(p: sp.csr_array, h_l, h_0, w, prop_weight: float,
@@ -192,12 +198,14 @@ def predict(z_tilde_t, z_tilde_f, w, b):
 
 
 def forward_full(tape: Tape, params: ModelParams, p_t: sp.csr_array, p_f: sp.csr_array,
-                 x: np.ndarray, prop_weight: float, common_mix: float,
+                 x: sp.csr_array, prop_weight: float, common_mix: float,
                  attention_variant: str = "sigmoid", residual_form: str = "gcn") -> ForwardState:
-    """One full forward pass; returns every intermediate plus parameter leaves."""
+    """One full forward pass; returns every intermediate plus parameter leaves.
+
+    `x` is the feature matrix as a sparse constant (see `input_mlp`).
+    """
     leaves = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
-    x_node = tape.tensor(x)
-    h0 = input_mlp(x_node, leaves["input_w1"], leaves["input_b1"],
+    h0 = input_mlp(x, leaves["input_w1"], leaves["input_b1"],
                    leaves["input_w2"], leaves["input_b2"])
     z_t = encoder_forward(p_t, h0, leaves["topo_w0"], leaves["topo_w1"],
                           prop_weight, residual_form)
@@ -223,15 +231,15 @@ def baseline_init(n_features: int, n_classes: int, hidden: int, rng) -> dict[str
     return {"w0": glorot(rng, n_features, hidden), "w1": glorot(rng, hidden, n_classes)}
 
 
-def gcn_baseline_forward(tape: Tape, p: sp.csr_array, x: np.ndarray,
+def gcn_baseline_forward(tape: Tape, p: sp.csr_array, x: sp.csr_array,
                          params: dict[str, np.ndarray]):
     """Two-layer GCN, no residual: softmax(P relu(P X W0) W1).
 
     Used for both baselines; pass the topology adjacency or the kNN feature
-    graph adjacency.
+    graph adjacency. `x` is the sparse feature matrix; the constant P X is
+    one sparse operand of the first product, so X gets no gradient.
     """
     leaves = {name: tape.tensor(arr) for name, arr in params.items()}
-    x_node = tape.tensor(x)
-    h1 = ad.relu(ad.matmul(ad.spmm(p, x_node), leaves["w0"]))
+    h1 = ad.relu(ad.spmm(p @ x, leaves["w0"]))
     y_hat = ad.softmax_rows(ad.matmul(ad.spmm(p, h1), leaves["w1"]))
     return y_hat, leaves

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import losses as L
@@ -216,6 +217,7 @@ def train(g: Graph, g_f: Graph, cfg: TrainConfig):
     split = make_split(g, cfg, cfg.seed)
     p_t = normalized_adjacency(g)
     p_f = normalized_adjacency(g_f)
+    x = sp.csr_array(g.features)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     params = ModelParams.init(g.features.shape[1], n_classes, cfg.hidden_dim, rng,
                               cfg.combiner_depth)
@@ -228,7 +230,7 @@ def train(g: Graph, g_f: Graph, cfg: TrainConfig):
     best_params = params.copy()
     for epoch in range(1, cfg.epochs + 1):
         tape = Tape()
-        fs = M.forward_full(tape, params, p_t, p_f, g.features,
+        fs = M.forward_full(tape, params, p_t, p_f, x,
                             cfg.prop_weight, cfg.common_mix,
                             cfg.attention_variant, cfg.residual_form)
         l_cl = L.classification_loss(fs.y_hat, y, split.train, cfg.ce_reduction)
@@ -257,7 +259,7 @@ def train(g: Graph, g_f: Graph, cfg: TrainConfig):
         adam_step(params.arrays, grads, state, cfg.lr, cfg.weight_decay, epoch, bias_names)
 
     tape = Tape()
-    fs = M.forward_full(tape, best_params, p_t, p_f, g.features,
+    fs = M.forward_full(tape, best_params, p_t, p_f, x,
                         cfg.prop_weight, cfg.common_mix,
                         cfg.attention_variant, cfg.residual_form)
     final_acc, final_f1 = evaluate(fs.y_hat.value, g.labels, split.test)
@@ -278,6 +280,7 @@ def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | No
     y = one_hot(g.labels, n_classes)
     split = make_split(g, cfg, cfg.seed)
     p = normalized_adjacency(prop_graph)
+    x = sp.csr_array(g.features)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     params = M.baseline_init(g.features.shape[1], n_classes, cfg.hidden_dim, rng)
     state = init_adam_state(params)
@@ -288,7 +291,7 @@ def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | No
     best_params = {k: v.copy() for k, v in params.items()}
     for epoch in range(1, cfg.epochs + 1):
         tape = Tape()
-        y_hat, leaves = M.gcn_baseline_forward(tape, p, g.features, params)
+        y_hat, leaves = M.gcn_baseline_forward(tape, p, x, params)
         l_cl = L.classification_loss(y_hat, y, split.train, cfg.ce_reduction)
         loss = ad.scale(l_cl, cfg.loss_weights.classification)
         terms = {"total": loss.item(), "classification": l_cl.item()}
@@ -311,7 +314,7 @@ def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | No
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay, epoch)
 
     tape = Tape()
-    y_hat, _ = M.gcn_baseline_forward(tape, p, g.features, best_params)
+    y_hat, _ = M.gcn_baseline_forward(tape, p, x, best_params)
     final_acc, final_f1 = evaluate(y_hat.value, g.labels, split.test)
     return best_params, RunTrace(records, best_epoch, final_acc, final_f1)
 
@@ -347,6 +350,7 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     p_t = normalized_adjacency(g)
     p_f = normalized_adjacency(g_f)
+    x = sp.csr_array(g.features)
     y = one_hot(g.labels, c)
     mask = make_split(g, cfg, seed).train
     rng = np.random.default_rng(seed + 1)
@@ -356,7 +360,7 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
     def f(arrays):
         p = ModelParams(dict(zip(names, arrays)))
         tape = Tape()
-        fs = M.forward_full(tape, p, p_t, p_f, g.features, cfg.prop_weight,
+        fs = M.forward_full(tape, p, p_t, p_f, x, cfg.prop_weight,
                             cfg.common_mix, cfg.attention_variant, cfg.residual_form)
         l_cl = L.classification_loss(fs.y_hat, y, mask, cfg.ce_reduction)
         l_c = L.closeness_loss(fs.z_ct, fs.z_cf, cfg.normalize_closeness)

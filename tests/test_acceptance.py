@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see every line. The two
 synthetic benchmarks (a homophilous 2-block SBM and a heterophilous 5-block
-SBM) are trained once per session and shared across criteria 5-7.
+SBM) are trained once per session and shared across criteria 5-7. The whole
+module is marked `slow`: `pytest -m "not slow"` skips it.
 """
 
 import time
@@ -25,6 +26,8 @@ from fusegcn.heterophily import (
 from fusegcn.losses import LossWeights, closeness_loss, disparity_loss
 from fusegcn.training import TrainConfig, model_gradient_check, train, train_baseline
 from tests.test_graphs import brute_force_knn_edges, random_labeled_graph
+
+pytestmark = pytest.mark.slow
 
 
 def report(num, passed, detail):

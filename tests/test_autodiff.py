@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -241,10 +244,61 @@ class TestBackwardMechanics:
         a = t.tensor(np.ones((2, 2)))
         loss = sum_sq(a)
         backward(t, loss)
-        with pytest.raises(TapeError):
+        with pytest.raises(TapeError, match="build a new tape"):
             backward(t, loss)
-        t.reset_grads()
-        backward(t, loss)  # allowed again after reset
+
+    def test_backward_frees_the_tape(self):
+        # with the cycle collector off only reference counting frees memory:
+        # after backward no tape -> node -> tape cycle may be left
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = Tape()
+            a = t.tensor(np.ones((3, 2)))
+            w = t.tensor(np.full((2, 2), 0.5))
+            backward(t, sum_sq(ad.relu(ad.matmul(a, w))))
+            grads = [a.grad, w.grad]
+            tape_ref = weakref.ref(t)
+            del t, a, w
+            assert tape_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        npt.assert_allclose(grads[1], np.full((2, 2), 6.0))
+
+    def test_pass_through_grads_are_not_shared(self):
+        # add_row_bias hands its output gradient to `a`, concat_cols hands
+        # views of its own to `b` and `d`. `a` and `b` also feed earlier ops,
+        # whose contributions backward adds later: they must land in the
+        # inputs' buffers, not in the output gradients y.grad and c.grad
+        rng = np.random.default_rng(8)
+        a_val, b_val, d_val = (rng.standard_normal((4, 3)) for _ in range(3))
+        bias_val = rng.standard_normal((1, 3))
+        t_y, t_c = rng.standard_normal((4, 3)), rng.standard_normal((4, 6))
+
+        def build(tape, a, b, d, bias):
+            other = ad.add_scaled(sum_sq(ad.relu(a)), sum_sq(ad.sigmoid(b)), 1.0, 1.0)
+            y = ad.add_row_bias(a, bias)
+            c = ad.concat_cols(b, d)
+            fit = ad.add_scaled(ad.frobenius_sq_diff(y, tape.tensor(t_y)),
+                                ad.frobenius_sq_diff(c, tape.tensor(t_c)), 1.0, 1.0)
+            return ad.add_scaled(fit, other, 1.0, 1.0), y, c
+
+        def f(arrays):
+            tape = Tape()
+            leaves = [tape.tensor(v) for v in arrays]
+            loss, _, _ = build(tape, *leaves)
+            backward(tape, loss)
+            return loss.item(), [n.grad for n in leaves]
+
+        report = finite_diff_check(f, [a_val, b_val, d_val, bias_val])
+        assert report.passed, str(report)
+
+        tape = Tape()
+        loss, y, c = build(tape, *(tape.tensor(v) for v in (a_val, b_val, d_val, bias_val)))
+        backward(tape, loss)
+        npt.assert_array_equal(y.grad, 2.0 * (y.value - t_y))
+        npt.assert_array_equal(c.grad, 2.0 * (c.value - t_c))
 
     def test_scalar_loss_required(self):
         t = Tape()

@@ -85,6 +85,16 @@ class TestTrainCommand:
                                  "--out", str(tmp_path / "diverged")]) == 2
         assert "error: non-finite loss at epoch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["knn-graph", "--k", "3"]])
+    def test_non_finite_feature_exits_2(self, synth_ds, tmp_path, capsys, command):
+        feats = synth_ds / "features.tsv"
+        lines = feats.read_text().splitlines()
+        lines[5] = lines[5].rsplit("\t", 1)[0] + "\tnan"
+        feats.write_text("\n".join(lines) + "\n")
+        assert cli_dispatch(command + ["--data", str(synth_ds),
+                                       "--out", str(tmp_path / "out")]) == 2
+        assert "features.tsv:6: non-finite feature value" in capsys.readouterr().err
+
     def test_determinism_byte_identical_traces(self, synth_ds, tmp_path):
         cfg = tiny_config(tmp_path)
         rc1 = cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),

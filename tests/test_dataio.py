@@ -121,6 +121,43 @@ class TestLoadValidation:
         g2 = load_dataset(ds)
         npt.assert_array_equal(g2.features, g.features)
 
+    def make_sparse(self, tmp_path):
+        """The valid dataset with its features as sparse triples; returns the
+        directory and the sparse file's lines."""
+        ds = self.make_valid(tmp_path)
+        x = load_dataset(ds).features
+        (ds / "features.tsv").unlink()
+        lines = ["node_id\tfeature_index\tvalue"]
+        lines += [f"{i}\t{j}\t{float(x[i, j])!r}" for i, j in zip(*np.nonzero(x))]
+        return ds, lines
+
+    def test_dense_nan_feature_rejected(self, tmp_path):
+        ds = self.make_valid(tmp_path)
+        lines = (ds / "features.tsv").read_text().splitlines()
+        parts = lines[3].split("\t")
+        parts[2] = "nan"
+        lines[3] = "\t".join(parts)
+        (ds / "features.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"features\.tsv:4: non-finite"):
+            load_dataset(ds)
+
+    def test_sparse_inf_feature_rejected(self, tmp_path):
+        ds, lines = self.make_sparse(tmp_path)
+        lines.insert(3, "4\t1\t-inf")
+        (ds / "features.sparse.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"features\.sparse\.tsv:4: non-finite"):
+            load_dataset(ds)
+
+    def test_sparse_duplicate_entry_rejected(self, tmp_path):
+        ds, lines = self.make_sparse(tmp_path)
+        node, feat, _ = lines[2].split("\t")
+        lines.append(f"{node}\t{feat}\t7.5")
+        (ds / "features.sparse.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError,
+                           match=rf"features\.sparse\.tsv:{len(lines)}: duplicate entry "
+                                 rf"for node {node}, feature {feat} \(first on line 3\)"):
+            load_dataset(ds)
+
     def test_both_feature_files_error(self, tmp_path):
         ds = self.make_valid(tmp_path)
         (ds / "features.sparse.tsv").write_text("node_id\tfeature_index\tvalue\n")

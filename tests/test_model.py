@@ -19,7 +19,7 @@ def identity_sparse(n):
 class TestInputMlp:
     def test_zero_weights_zero_output(self):
         t = Tape()
-        x = t.tensor(np.random.default_rng(0).standard_normal((4, 3)))
+        x = sp.csr_array(np.random.default_rng(0).standard_normal((4, 3)))
         zeros = lambda *s: t.tensor(np.zeros(s))
         out = M.input_mlp(x, zeros(3, 2), zeros(1, 2), zeros(2, 2), zeros(1, 2))
         npt.assert_array_equal(out.value, np.zeros((4, 2)))
@@ -27,11 +27,74 @@ class TestInputMlp:
     def test_identity_weights_reproduce_nonnegative_input(self):
         t = Tape()
         x_val = np.abs(np.random.default_rng(1).standard_normal((5, 3)))
-        x = t.tensor(x_val)
+        x = sp.csr_array(x_val)
         eye = lambda: t.tensor(np.eye(3))
         zb = lambda: t.tensor(np.zeros((1, 3)))
         out = M.input_mlp(x, eye(), zb(), eye(), zb())
         npt.assert_array_equal(out.value, x_val)
+
+
+def binary_csr(rng, n, d, zero_col):
+    """Random 0/1 n x d CSR matrix, every row nonzero, column `zero_col` empty."""
+    x = (rng.random((n, d)) < 0.3).astype(float)
+    x[np.arange(n), (zero_col + 1 + rng.integers(d - 1, size=n)) % d] = 1.0
+    x[:, zero_col] = 0.0
+    return sp.csr_array(x)
+
+
+def assert_rel_close(actual, expected, tol=1e-12):
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= tol * scale
+
+
+class TestSparseFeatureInput:
+    """The CSR feature constant against the dense tape node it replaced."""
+
+    @staticmethod
+    def dense_node_input_mlp(x, w1, b1, w2, b2):
+        return M.mlp_two_layer(w1.tape.tensor(x.toarray()), w1, b1, w2, b2)
+
+    def test_full_model_matches_dense_node(self, monkeypatch):
+        g = random_check_instance(n=10, d=7, c=2, seed=41)
+        x = binary_csr(np.random.default_rng(42), 10, 7, zero_col=2)
+        p_t = normalized_adjacency(g)
+        p_f = normalized_adjacency(knn_feature_graph(g.features, 3))
+        params = M.ModelParams.init(7, 2, 6, np.random.default_rng(43))
+        y = one_hot(g.labels, 2)
+
+        def run():
+            t = Tape()
+            fs = M.forward_full(t, params, p_t, p_f, x, 0.8, 0.85)
+            backward(t, classification_loss(fs.y_hat, y, np.arange(10)))
+            return fs.y_hat.value, fs.leaves["input_w1"].grad
+
+        y_hat, grad = run()
+        monkeypatch.setattr(M, "input_mlp", self.dense_node_input_mlp)
+        y_ref, grad_ref = run()
+        assert_rel_close(y_hat, y_ref)
+        assert_rel_close(grad, grad_ref)
+        npt.assert_array_equal(grad[2], 0.0)
+
+    def test_baseline_matches_dense_node(self):
+        g = random_check_instance(n=9, d=6, c=3, seed=44)
+        x = binary_csr(np.random.default_rng(45), 9, 6, zero_col=0)
+        p = normalized_adjacency(g)
+        params = M.baseline_init(6, 3, 5, np.random.default_rng(46))
+        y = one_hot(g.labels, 3)
+
+        t = Tape()
+        y_hat, leaves = M.gcn_baseline_forward(t, p, x, params)
+        backward(t, classification_loss(y_hat, y, np.arange(9)))
+
+        t_ref = Tape()
+        ref = {k: t_ref.tensor(v) for k, v in params.items()}
+        h1 = ad.relu(ad.matmul(ad.spmm(p, t_ref.tensor(x.toarray())), ref["w0"]))
+        y_ref = ad.softmax_rows(ad.matmul(ad.spmm(p, h1), ref["w1"]))
+        backward(t_ref, classification_loss(y_ref, y, np.arange(9)))
+
+        assert_rel_close(y_hat.value, y_ref.value)
+        assert_rel_close(leaves["w0"].grad, ref["w0"].grad)
+        npt.assert_array_equal(leaves["w0"].grad[0], 0.0)
 
 
 class TestResidualLayer:
@@ -254,11 +317,11 @@ class TestFullModel:
         p_t, p_f = normalized_adjacency(g), normalized_adjacency(g_f)
         rng = np.random.default_rng(24)
         params = M.ModelParams.init(4, 2, 6, rng)
+        x = sp.csr_array(g.features)
         t = Tape()
-        fs = M.forward_full(t, params, p_t, p_f, g.features, 1.0, 0.0)
+        fs = M.forward_full(t, params, p_t, p_f, x, 1.0, 0.0)
         # rebuild z_t by hand with plain (non-residual) layers
         leaves = {k: t.tensor(v) for k, v in params.arrays.items()}
-        x = t.tensor(g.features)
         h0 = M.input_mlp(x, leaves["input_w1"], leaves["input_b1"],
                          leaves["input_w2"], leaves["input_b2"])
         l1 = ad.relu(ad.matmul(ad.spmm(p_t, h0), leaves["topo_w0"]))

@@ -15,6 +15,7 @@ from fusegcn.training import (
     evaluate,
     init_adam_state,
     make_split,
+    model_gradient_check,
     train,
     train_baseline,
 )
@@ -220,6 +221,23 @@ class TestNonFiniteLoss:
             with pytest.raises(ValueError, match="non-finite loss at epoch 6: total=nan, "
                                "classification=nan"):
                 train_baseline(g, cfg)
+
+
+class TestLiteralResidualForm:
+    # "literal" drops the propagation term, so the encoder weights never
+    # receive a gradient and Adam must read zeros for them
+    def test_trains_with_finite_losses(self):
+        g, g_f = small_dataset(seed=12)
+        _, trace = train(g, g_f, small_cfg(epochs=2, residual_form="literal"))
+        assert len(trace.records) == 2
+        for r in trace.records:
+            assert np.all(np.isfinite([r.loss_total, r.loss_cl, r.loss_c, r.loss_d]))
+
+    def test_gradient_check_passes(self):
+        cfg = TrainConfig(hidden_dim=5, knn_k=3, train_per_class=2, val_per_class=1,
+                          seed=4, residual_form="literal")
+        report = model_gradient_check(n=8, d=4, c=2, hidden=5, seed=4, cfg=cfg)
+        assert report.passed, str(report)
 
 
 class TestTrainBaseline:
