@@ -3,6 +3,11 @@
 Injection adds exactly K new distinct cross-label edges: a uniform source
 node, a target label drawn proportionally to class size from the remaining
 classes, a uniform node within that label; duplicate draws are re-sampled.
+A seed's edge set is defined by that per-draw process on numpy's PCG64
+stream: `integers(n)`, `random()`, `integers(size)` per draw. The code draws
+in numpy batches that replay the same raw words (two per draw), and steps
+back to scalar calls at the rare draws a batch cannot replay, so each seed
+gives the edge set the per-draw loop gives.
 The sweep retrains the model from scratch on progressively more
 heterophilous copies of one base graph, keeping features (and hence the
 kNN feature graph) untouched.
@@ -79,8 +84,102 @@ def required_edges(g: Graph, target_het: float) -> int:
     return max(0, k)
 
 
+def target_label_cdf(class_sizes: np.ndarray) -> np.ndarray:
+    """Row c: cumulative target-label distribution for a source in class c.
+
+    Class-size proportional over the other classes. Each row is exactly 1.0
+    from its last positive class onward, so no double in [0, 1) can pick a
+    label past it (a plain cumsum may end at 1 - 2^-53).
+    """
+    n_classes = class_sizes.size
+    cum = np.zeros((n_classes, n_classes))
+    for c in range(n_classes):
+        p = class_sizes.astype(np.float64)
+        p[c] = 0.0
+        cum[c] = np.cumsum(p / p.sum())
+        cum[c, np.flatnonzero(p)[-1]:] = 1.0
+    return cum
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def bounded_integers(words: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's method on 32-bit `words`, as numpy's scalar `integers(n)` uses it.
+
+    Returns the values in [0, n) and a mask of the words the scalar call would
+    reject (it then draws again, so the stream moves on differently).
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = words.astype(np.uint64) * n
+    threshold = (np.uint64(2**32) - n) % n
+    return (m >> np.uint64(32)).astype(np.int64), (m & _LOW32) < threshold
+
+
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw 64-bit words, as numpy's scalar `random()`."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _replay(raw, spare, n, labels, cum, sizes):
+    """Draws that the raw words `raw` (two per draw) hold for the scalar loop.
+
+    The loop's calls are integers(n), random(), integers(size). PCG64 serves
+    32-bit requests from the low half of a word and keeps the high half as its
+    spare, so with no spare (`spare` None) draw t reads i from lo(r[2t]), u
+    from r[2t+1] and the member index from hi(r[2t]). With a spare, draw 0
+    reads i from it and draw t reads u from r[2t], the member index from
+    lo(r[2t+1]) and hands hi(r[2t+1]) on as the next draw's i.
+
+    Returns (i, target label, member index, nb): the draws before `nb` are
+    exact; draw `nb`, if less than the batch, breaks the replay because a
+    bounded draw would be rejected or its target class has one member
+    (`integers(1)` consumes nothing, which flips the spare).
+    """
+    even, odd = raw[0::2], raw[1::2]
+    if spare is None:
+        i_words, u_words, j_words = even & _LOW32, odd, even >> np.uint64(32)
+    else:
+        i_words = np.concatenate([[np.uint64(spare)], odd[:-1] >> np.uint64(32)])
+        u_words, j_words = even, odd & _LOW32
+    i, i_bad = bounded_integers(i_words, n)
+    u = unit_doubles(u_words)
+    y = np.count_nonzero(cum[labels[i]] <= u[:, None], axis=1)
+    size = sizes[y]
+    j, j_bad = bounded_integers(j_words, size)
+    breaks = np.flatnonzero(i_bad | j_bad | (size == 1))
+    nb = int(breaks[0]) if breaks.size else i.size
+    return i, y, j, nb
+
+
+def _resume(bg, saved, n_words: int, spare) -> None:
+    """Put `bg` `n_words` raw words past the state `saved`, holding `spare`."""
+    bg.state = saved
+    bg.advance(n_words)
+    if spare is not None:
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = 1, int(spare)
+        bg.state = state
+
+
+def _accept(taken: np.ndarray, keys: np.ndarray, limit: int) -> tuple[np.ndarray, int]:
+    """Insert the first `limit` distinct `keys` (in draw order) absent from `taken`.
+
+    `taken` is sorted and ends in a sentinel above every key; returns it with
+    the accepted keys inserted, and their count.
+    """
+    uniq, first = np.unique(keys, return_index=True)
+    fresh = taken[np.searchsorted(taken, uniq)] != uniq
+    new = np.sort(keys[np.sort(first[fresh])[:limit]])
+    return np.insert(taken, np.searchsorted(taken, new), new), new.size
+
+
 def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
-    """Add exactly `k` new distinct cross-label edges; input is unmodified."""
+    """Add exactly `k` new distinct cross-label edges; input is unmodified.
+
+    Draws in numpy batches that replay the per-draw loop's PCG64 stream, so
+    the edge set is the loop's (see the module docstring).
+    """
     if g.labels is None:
         raise ValueError("injection requires labels")
     labels = g.labels
@@ -89,44 +188,58 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
         raise ValueError("need at least two classes to add cross-label edges")
     if k == 0:
         return g
-    class_members = [np.flatnonzero(labels == c) for c in range(n_classes)]
-    class_sizes = np.array([m.size for m in class_members], dtype=np.float64)
-    cross_total = (g.n_nodes ** 2 - int(np.sum(class_sizes ** 2))) // 2
-    existing = set(map(tuple, g.edges.tolist()))
-    existing_cross = sum(1 for i, j in g.edges if labels[i] != labels[j])
+    n = g.n_nodes
+    sizes = np.bincount(labels, minlength=n_classes)
+    cross_total = (n ** 2 - int(np.sum(sizes ** 2))) // 2
+    existing_cross = int(np.count_nonzero(labels[g.edges[:, 0]] != labels[g.edges[:, 1]]))
     if k > cross_total - existing_cross:
         raise ValueError(
             f"cannot add {k} cross-label edges: only {cross_total - existing_cross} absent pairs")
 
-    # per-source-class cumulative target-label distribution, class-size proportional
-    cum = np.zeros((n_classes, n_classes))
-    for c in range(n_classes):
-        p = class_sizes.copy()
-        p[c] = 0.0
-        cum[c] = np.cumsum(p / p.sum())
-
+    cum = target_label_cdf(sizes)
+    by_label = np.argsort(labels, kind="stable")      # class members, ascending
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    # keys i*n + j of present and accepted pairs, sorted, with a sentinel
+    taken = np.append(g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1], n * n)
     rng = np.random.default_rng(seed)
-    new_edges = set()
+    bg = rng.bit_generator
+    added = 0
     max_draws = 200 * k + 10_000
     budget = max_draws
-    while len(new_edges) < k:
+    while added < k:
         if budget == 0:
             raise InjectionBudgetError(
                 f"edge injection exceeded its sampling budget of {max_draws} draws "
-                f"after adding {len(new_edges)} of {k} cross-label edges")
-        budget -= 1
-        i = int(rng.integers(g.n_nodes))
-        y_j = int(np.searchsorted(cum[labels[i]], rng.random(), side="right"))
-        members = class_members[y_j]
-        j = int(members[rng.integers(members.size)])
-        pair = (i, j) if i < j else (j, i)
-        if pair in existing or pair in new_edges:
+                f"after adding {added} of {k} cross-label edges")
+        b = min(2 * (k - added) + 64, budget)
+        saved = bg.state
+        spare = saved["uinteger"] if saved["has_uint32"] else None
+        raw = bg.random_raw(2 * b)
+        i, y, j, nb = _replay(raw, spare, n, labels, cum, sizes)
+        j = by_label[starts[y[:nb]] + j[:nb]]
+        i = i[:nb]
+        taken, n_new = _accept(taken, np.minimum(i, j) * n + np.maximum(i, j), k - added)
+        added += n_new
+        budget -= nb
+        if added == k:
+            break
+        # step the stream to draw nb; with a spare, draw nb - 1 left hi(r[2nb-1])
+        if spare is not None and nb > 0:
+            spare = raw[2 * nb - 1] >> np.uint64(32)
+        _resume(bg, saved, 2 * nb, spare)
+        if nb == b:
             continue
-        new_edges.add(pair)
+        # draw nb breaks the replay: make it with the loop's scalar calls
+        budget -= 1
+        i = int(rng.integers(n))
+        y_j = int(np.searchsorted(cum[labels[i]], rng.random(), side="right"))
+        members = by_label[starts[y_j]:starts[y_j] + sizes[y_j]]
+        j = int(members[rng.integers(members.size)])
+        taken, n_new = _accept(taken, np.array([min(i, j) * n + max(i, j)]), 1)
+        added += n_new
 
-    merged = np.concatenate([g.edges, np.array(sorted(new_edges), dtype=np.int64)])
-    order = np.lexsort((merged[:, 1], merged[:, 0]))
-    return Graph(g.n_nodes, merged[order], g.features, g.labels)
+    keys = taken[:-1]
+    return Graph(n, np.stack([keys // n, keys % n], axis=1), g.features, g.labels)
 
 
 def heterophily_sweep(g: Graph, g_features: Graph, plan: SweepPlan, cfg: TrainConfig):

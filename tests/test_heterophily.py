@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from fusegcn.graphs import Graph, homophily_ratio
+from fusegcn import heterophily
 from fusegcn.heterophily import (
     InjectionBudgetError,
     SynthSpec,
@@ -12,11 +13,53 @@ from fusegcn.heterophily import (
     inject_heterophilous_edges,
     make_sweep_plan,
     required_edges,
+    target_label_cdf,
 )
 from fusegcn.losses import LossWeights
 from fusegcn.training import TrainConfig, train
 from fusegcn.graphs import knn_feature_graph
 from tests.test_graphs import make_graph
+
+
+def _scalar_inject(g, k, seed):
+    """The per-draw injection loop that defines each seed's edge set (reference)."""
+    labels = g.labels
+    n_classes = g.n_classes
+    if k == 0:
+        return g
+    class_members = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    class_sizes = np.array([m.size for m in class_members], dtype=np.float64)
+    existing = set(map(tuple, g.edges.tolist()))
+
+    # per-source-class cumulative target-label distribution, class-size proportional
+    cum = np.zeros((n_classes, n_classes))
+    for c in range(n_classes):
+        p = class_sizes.copy()
+        p[c] = 0.0
+        cum[c] = np.cumsum(p / p.sum())
+
+    rng = np.random.default_rng(seed)
+    new_edges = set()
+    max_draws = 200 * k + 10_000
+    budget = max_draws
+    while len(new_edges) < k:
+        if budget == 0:
+            raise InjectionBudgetError(
+                f"edge injection exceeded its sampling budget of {max_draws} draws "
+                f"after adding {len(new_edges)} of {k} cross-label edges")
+        budget -= 1
+        i = int(rng.integers(g.n_nodes))
+        y_j = int(np.searchsorted(cum[labels[i]], rng.random(), side="right"))
+        members = class_members[y_j]
+        j = int(members[rng.integers(members.size)])
+        pair = (i, j) if i < j else (j, i)
+        if pair in existing or pair in new_edges:
+            continue
+        new_edges.add(pair)
+
+    merged = np.concatenate([g.edges, np.array(sorted(new_edges), dtype=np.int64)])
+    order = np.lexsort((merged[:, 1], merged[:, 0]))
+    return Graph(g.n_nodes, merged[order], g.features, g.labels)
 
 
 def graph_with_counts(n_same, n_cross, seed=0):
@@ -146,6 +189,138 @@ class TestInjection:
             g2 = inject_heterophilous_edges(g, k, seed=int(rng.integers(1 << 30)))
             assert abs((1 - homophily_ratio(g2)) - target) <= 0.01
             assert 1 - homophily_ratio(g2) >= target - 1e-12
+
+
+class TestTargetLabelCdf:
+    CITE3K_SIZES = (264, 590, 668, 701, 596, 508)
+
+    def test_plain_cumsum_falls_short(self):
+        # premise: the row of class 0 at cite3k's sizes sums to 1 - 2^-53
+        p = np.array(self.CITE3K_SIZES, dtype=np.float64)
+        p[0] = 0.0
+        assert np.cumsum(p / p.sum())[-1] < 1.0
+
+    def test_rows_end_at_one_and_never_draw_own_label(self):
+        rng = np.random.default_rng(17)
+        cases = [np.array(self.CITE3K_SIZES), np.array([1, 1, 28, 30]), np.array([5, 0, 7, 0])]
+        cases += [rng.integers(1, 1000, size=int(rng.integers(2, 9))) for _ in range(200)]
+        for sizes in cases:
+            cum = target_label_cdf(sizes)
+            assert np.all(cum[:, -1] == 1.0), sizes
+            for c in range(sizes.size):
+                for u in (0.0, 1.0 - 2.0**-53):
+                    y = int(np.searchsorted(cum[c], u, side="right"))
+                    assert y < sizes.size and y != c and sizes[y] > 0, (sizes, c, u)
+
+
+class TestStreamReplay:
+    """The batched helpers against numpy's scalar calls.
+
+    Injection's edge sets depend on replaying numpy's PCG64 stream; a numpy
+    release that changes how `integers` or `random` consume it fails here.
+    """
+
+    @staticmethod
+    def _at(seed, pos, raw):
+        """A generator `pos` 32-bit halves into the stream (low half first)."""
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance((pos + 1) // 2)
+        if pos % 2:
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, int(raw[pos // 2] >> np.uint64(32))
+            rng.bit_generator.state = state
+        return rng
+
+    @staticmethod
+    def _position(rng):
+        state = rng.bit_generator.state
+        return state["state"], state["has_uint32"]
+
+    @pytest.mark.parametrize("n", [3 * 2**30, 2**31 + 12345])
+    def test_bounded_integers_flag_every_rejection(self, n):
+        raw = np.random.default_rng(3).bit_generator.random_raw(100)
+        words = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()
+        values, rejected = heterophily.bounded_integers(words, n)
+        assert 20 < np.count_nonzero(rejected) < 180
+        first = int(np.argmax(rejected))
+        scalar = np.random.default_rng(3)
+        npt.assert_array_equal([scalar.integers(n) for _ in range(first)], values[:first])
+        for pos in range(words.size - 1):
+            rng = self._at(3, pos, raw)
+            value = int(rng.integers(n))
+            # an accepted word is consumed alone: the stream is then at pos + 1
+            consumed_one = self._position(rng) == self._position(self._at(3, pos + 1, raw))
+            assert consumed_one == (not rejected[pos]), pos
+            if consumed_one:
+                assert value == values[pos]
+
+    def test_unit_doubles_match_random(self):
+        raw = np.random.default_rng(4).bit_generator.random_raw(500)
+        rng = np.random.default_rng(4)
+        npt.assert_array_equal(heterophily.unit_doubles(raw), [rng.random() for _ in range(500)])
+
+
+class TestInjectionMatchesScalarLoop:
+    """The batched injection returns the per-draw loop's edge set, seed for seed."""
+
+    def test_two_block_sweep_levels(self):
+        g = generate_synthetic(SynthSpec(400, 2, p_intra=0.05, p_inter=0.005,
+                                         n_features=4, seed=8))
+        plan = make_sweep_plan(g, seed=8, n_levels=3, max_level=0.8)
+        for level, seed in zip(plan.levels, plan.seeds):
+            k = required_edges(g, level)
+            npt.assert_array_equal(inject_heterophilous_edges(g, k, seed).edges,
+                                   _scalar_inject(g, k, seed).edges)
+
+    def test_five_block(self):
+        g = generate_synthetic(SynthSpec(1000, 5, p_intra=0.005, p_inter=0.0125,
+                                         n_features=5, seed=2))
+        k = required_edges(g, 0.95)
+        npt.assert_array_equal(inject_heterophilous_edges(g, k, 9).edges,
+                               _scalar_inject(g, k, 9).edges)
+
+    @pytest.mark.parametrize("k", [50, 200, 400])
+    def test_one_member_classes_resync(self, k, monkeypatch):
+        # a one-member target class consumes no member draw, which flips
+        # PCG64's spare 32-bit half: the replay must resync and run with a spare
+        resumes = []
+        resume = heterophily._resume
+        monkeypatch.setattr(heterophily, "_resume",
+                            lambda bg, saved, n_words, spare:
+                            resumes.append(spare) or resume(bg, saved, n_words, spare))
+        g = generate_synthetic(SynthSpec(60, 4, class_sizes=(1, 1, 28, 30),
+                                         p_intra=0.1, p_inter=0.01, seed=k))
+        npt.assert_array_equal(inject_heterophilous_edges(g, k, k + 1).edges,
+                               _scalar_inject(g, k, k + 1).edges)
+        assert any(s is None for s in resumes) and any(s is not None for s in resumes)
+
+    @staticmethod
+    def _budget_messages(g, k, seed):
+        messages = []
+        for inject in (inject_heterophilous_edges, _scalar_inject):
+            with pytest.raises(InjectionBudgetError) as err:
+                inject(g, k, seed)
+            messages.append(str(err.value))
+        return messages
+
+    def test_budget_overrun_same_error(self):
+        labels = np.repeat([0, 1], 200)
+        left, right = np.meshgrid(np.arange(200), np.arange(200, 400), indexing="ij")
+        edges = np.stack([left.ravel(), right.ravel()], axis=1)[1:]
+        g = Graph(400, edges, np.zeros((400, 1)), labels)
+        batched, scalar = self._budget_messages(g, 1, 0)
+        assert batched == scalar
+
+    def test_budget_overrun_after_some_edges_same_error(self):
+        # 5 of 10,000 cross pairs absent: the 11,000 draws find some, not all
+        labels = np.repeat([0, 1], 100)
+        left, right = np.meshgrid(np.arange(100), np.arange(100, 200), indexing="ij")
+        edges = np.stack([left.ravel(), right.ravel()], axis=1)
+        edges = np.delete(edges, [7, 1234, 4321, 6000, 9999], axis=0)
+        g = Graph(200, edges, np.zeros((200, 1)), labels)
+        batched, scalar = self._budget_messages(g, 5, 1)
+        assert batched == scalar
+        assert "after adding 0 of" not in batched
 
 
 class TestSweepPlan:
