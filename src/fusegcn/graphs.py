@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+_BLOCK_ENTRIES = 1 << 20  # similarity entries per row block of the kNN top-k
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -117,10 +119,16 @@ def homophily_ratio(g: Graph) -> float:
 def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     """Undirected k-nearest-neighbor graph under cosine similarity.
 
-    Each node selects its k most cosine-similar distinct neighbors (ties
-    broken by the lower node index); the directed selections are then
-    symmetrized by union. The returned graph carries the input features and
-    no labels.
+    Each node selects its k most cosine-similar distinct neighbors; the
+    directed selections are then symmetrized by union. Ties are broken by the
+    lower node index among equal *computed* similarities: mathematically
+    equal cosines can round apart in the matrix product, and then the
+    larger computed value wins. The returned graph carries the input features
+    and no labels.
+
+    The N x N similarity matrix is the only N x N array: the top k of each
+    row is selected by partition in row blocks of about 2**20 entries, so the
+    selection adds O(block x N) memory on top of it.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -128,14 +136,30 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite feature value at node {bad[0]}")
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cosine similarity undefined: zero-norm feature row at node {zero[0]}")
     xn = x / norms[:, None]
     sim = xn @ xn.T
+    del xn
     np.fill_diagonal(sim, -np.inf)
-    nbrs = np.argsort(-sim, axis=1, kind="stable")[:, :k]
+    # Per row: every entry above the k-th largest value, then the
+    # lowest-index entries equal to it until k are taken. As a set this is
+    # the first k of a stable sort by -similarity (0.0 and -0.0 tie).
+    block = max(1, _BLOCK_ENTRIES // n)
+    nbrs = np.empty((n, k), dtype=np.int64)
+    for r0 in range(0, n, block):
+        s = sim[r0:r0 + block]
+        kth = np.partition(s, n - k, axis=1)[:, [n - k]]
+        above = s > kth
+        tied = s == kth
+        room = k - np.count_nonzero(above, axis=1)
+        keep = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room[:, None]))
+        nbrs[r0:r0 + block] = np.nonzero(keep)[1].reshape(-1, k)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edges = canonical_edges(np.stack([src, nbrs.ravel()], axis=1), n)
     return Graph(n, edges, x, None)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fusegcn import graphs
 from fusegcn.graphs import (
     Graph,
     canonical_edges,
@@ -200,6 +203,90 @@ class TestKnnFeatureGraph:
         for k in (1, 3, 7):
             g = knn_feature_graph(x, k)
             assert degree_stats(g).min() >= k
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_error_names_node(self, bad):
+        x = np.ones((4, 2))
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="node 2"):
+            knn_feature_graph(x, 1)
+
+
+def _argsort_knn(x, k):
+    """The full stable argsort selection that the partition selection replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than the node count {n}")
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"cosine similarity undefined: zero-norm feature row at node {zero[0]}")
+    xn = x / norms[:, None]
+    sim = xn @ xn.T
+    np.fill_diagonal(sim, -np.inf)
+    nbrs = np.argsort(-sim, axis=1, kind="stable")[:, :k]
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    edges = canonical_edges(np.stack([src, nbrs.ravel()], axis=1), n)
+    return Graph(n, edges, x, None)
+
+
+def _sparse_binary(rng, n=80, d=12):
+    x = (rng.random((n, d)) < 0.2).astype(np.float64)
+    x[x.sum(axis=1) == 0, 0] = 1.0
+    return x
+
+
+def _scaled_tiles(rng, n=60, d=3):
+    base = rng.integers(1, 4, size=(5, d)) * rng.choice([-1, 1], size=(5, d))
+    return np.tile(base, (n // 5, 1)) * rng.integers(1, 5, size=(n, 1)).astype(np.float64)
+
+
+def _small_integers(rng, n=70, d=3):
+    # Many exactly orthogonal pairs: zero cosines, which the stable sort of
+    # -similarity sees as -0.0 and must tie with 0.0 by index.
+    x = rng.integers(-1, 2, size=(n, d)).astype(np.float64)
+    x[np.abs(x).sum(axis=1) == 0, 0] = -1.0
+    return x
+
+
+class TestKnnMatchesArgsort:
+    """Edge sets equal the full-argsort selection, ties and block edges included."""
+
+    MAKERS = [_sparse_binary, _scaled_tiles, _small_integers]
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_tie_heavy_inputs(self, make):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            x = make(rng)
+            n = x.shape[0]
+            for k in (1, 3, 7, n // 2, n - 1):
+                npt.assert_array_equal(knn_feature_graph(x, k).edges, _argsort_knn(x, k).edges)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_across_block_boundaries(self, monkeypatch, make, rows):
+        rng = np.random.default_rng(37)
+        x = make(rng)
+        n = x.shape[0]
+        monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", rows * n)
+        for k in (1, 5, n - 1):
+            npt.assert_array_equal(knn_feature_graph(x, k).edges, _argsort_knn(x, k).edges)
+
+
+def test_knn_memory_peak_below_two_similarity_matrices():
+    n = 2000
+    x = np.random.default_rng(41).standard_normal((n, 4))
+    tracemalloc.start()
+    try:
+        knn_feature_graph(x, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 class TestDegreeStats:
