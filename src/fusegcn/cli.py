@@ -12,12 +12,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dataio
-from .autodiff import Tape
 from .dataio import DatasetError
-from .graphs import homophily_ratio, knn_feature_graph, normalized_adjacency
+from .graphs import homophily_ratio, knn_feature_graph
 from .heterophily import (
     SynthSpec,
     generate_synthetic,
@@ -26,8 +24,8 @@ from .heterophily import (
     make_sweep_plan,
     required_edges,
 )
-from . import model as M
-from .training import evaluate, model_gradient_check, make_split, train, train_baseline
+from .training import (evaluate, full_objective, make_split, model_gradient_check, train,
+                       train_baseline)
 
 
 class UsageError(Exception):
@@ -140,15 +138,12 @@ def _cmd_eval(args) -> int:
         raise DatasetError("evaluation requires a labeled dataset")
     params = dataio.load_params(args.params)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
-    tape = Tape()
-    fs = M.forward_full(tape, params, normalized_adjacency(g), normalized_adjacency(g_f),
-                        sp.csr_array(g.features), cfg.prop_weight, cfg.common_mix,
-                        cfg.attention_variant, cfg.residual_form)
     split = make_split(g, cfg, cfg.seed)
+    y_hat = full_objective(g, g_f, cfg, split.train)(params.arrays).y_hat.value
     out = {}
     for name, nodes in (("train", split.train), ("val", split.val), ("test", split.test),
                         ("all", np.arange(g.n_nodes))):
-        acc, f1 = evaluate(fs.y_hat.value, g.labels, nodes)
+        acc, f1 = evaluate(y_hat, g.labels, nodes)
         out[f"{name}_accuracy"] = acc
         out[f"{name}_macro_f1"] = f1
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -237,11 +237,7 @@ CONFIG_KEYS = {
     "attention_variant": str,
     "ce_reduction": str,
     "residual_form": str,
-    "combiner_depth": int,
-    "normalize_closeness": bool,
 }
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def parse_config(path) -> dict:
@@ -263,11 +259,8 @@ def parse_config(path) -> dict:
                 raise DatasetError(f"{path}:{ln}: unknown config key {key!r}")
             typ = CONFIG_KEYS[key]
             try:
-                if typ is bool:
-                    out[key] = _BOOL_WORDS[value.lower()]
-                else:
-                    out[key] = typ(value)
-            except (ValueError, KeyError):
+                out[key] = typ(value)
+            except ValueError:
                 raise DatasetError(
                     f"{path}:{ln}: cannot parse {value!r} as {typ.__name__}") from None
     return out
@@ -326,8 +319,23 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Load the three-channel model's arrays saved by `save_params`.
+
+    Raises DatasetError when the names differ from the model's, such as for
+    the parameters of a GCN baseline.
+    """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"params file {path} does not exist")
     with np.load(path, allow_pickle=False) as data:
-        return ModelParams({k: data[k] for k in data.files})
+        params = ModelParams({k: data[k] for k in data.files})
+    # the names do not depend on the sizes, so a 1-wide model lists them
+    expected = ModelParams.init(1, 1, 1, np.random.default_rng(0)).names()
+    missing = [k for k in expected if k not in params.arrays]
+    unexpected = [k for k in params.names() if k not in expected]
+    if missing or unexpected:
+        raise DatasetError(
+            f"{path} does not hold the three-channel model's parameters: "
+            f"missing {', '.join(missing) or 'none'}; "
+            f"unexpected {', '.join(unexpected) or 'none'}")
+    return params

@@ -31,7 +31,7 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
 
 
-def closeness_loss(z_ct, z_cf, normalize: bool = False):
+def closeness_loss(z_ct, z_cf):
     """||gram(norm(z_ct)) - gram(norm(z_cf))||_F^2.
 
     Evaluated from h x h products of the difference and the sum of the two
@@ -39,15 +39,8 @@ def closeness_loss(z_ct, z_cf, normalize: bool = False):
     no N x N matrix. That form, unlike the expansion into three h x h Gram
     norms, keeps the value at or near 0 for equal or near-equal inputs
     instead of cancelling to a small negative number.
-
-    `normalize=True` divides by N^2 (the Gram matrices have N^2 entries,
-    so the raw value grows quadratically with the node count).
     """
-    out = ad.gram_distance_sq(ad.l2_normalize_rows(z_ct), ad.l2_normalize_rows(z_cf))
-    if normalize:
-        n = z_ct.shape[0]
-        out = ad.scale(out, 1.0 / (n * n))
-    return out
+    return ad.gram_distance_sq(ad.l2_normalize_rows(z_ct), ad.l2_normalize_rows(z_cf))
 
 
 def disparity_loss(z_t, z_ct, z_f, z_cf):

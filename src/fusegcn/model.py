@@ -40,10 +40,7 @@ class ModelParams:
         self.arrays = dict(arrays)
 
     @classmethod
-    def init(cls, n_features: int, n_classes: int, hidden: int, rng,
-             combiner_depth: int = 1) -> "ModelParams":
-        if combiner_depth not in (1, 2):
-            raise ValueError("combiner_depth must be 1 or 2")
+    def init(cls, n_features: int, n_classes: int, hidden: int, rng) -> "ModelParams":
         h = hidden
         a = {}
         a["input_w1"] = glorot(rng, n_features, h)
@@ -59,9 +56,6 @@ class ModelParams:
         a["anchor_b2"] = np.zeros((1, h))
         a["comb_w0"] = glorot(rng, 2 * h, h)
         a["comb_b0"] = np.zeros((1, h))
-        if combiner_depth == 2:
-            a["comb_w1"] = glorot(rng, h, h)
-            a["comb_b1"] = np.zeros((1, h))
         for ch in ("t", "f", "c"):
             a[f"att_{ch}_w1"] = glorot(rng, h, h)
             a[f"att_{ch}_b1"] = np.zeros((1, h))
@@ -77,16 +71,9 @@ class ModelParams:
     def is_bias(self, name: str) -> bool:
         return name.rsplit("_", 1)[-1].startswith("b")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.arrays.items()})
-
     @property
     def hidden(self) -> int:
         return self.arrays["input_w2"].shape[1]
-
-    @property
-    def combiner_depth(self) -> int:
-        return 2 if "comb_w1" in self.arrays else 1
 
 
 @dataclass
@@ -157,15 +144,11 @@ def common_input(h_anchor, z, mix: float):
 
 def common_encoder(p_t, p_f, h_anchor, z_t, z_f, w0, w1, leaves, mix: float,
                    prop_weight: float, form: str = "gcn"):
-    """Shared-weight encoder over both views plus the combining MLP."""
+    """Shared-weight encoder over both views plus the linear combiner."""
     z_ct = encoder_forward(p_t, common_input(h_anchor, z_t, mix), w0, w1, prop_weight, form)
     z_cf = encoder_forward(p_f, common_input(h_anchor, z_f, mix), w0, w1, prop_weight, form)
     stacked = ad.concat_cols(z_ct, z_cf)
-    if "comb_w1" in leaves:
-        hidden = ad.relu(ad.add_row_bias(ad.matmul(stacked, leaves["comb_w0"]), leaves["comb_b0"]))
-        z_c = ad.add_row_bias(ad.matmul(hidden, leaves["comb_w1"]), leaves["comb_b1"])
-    else:
-        z_c = ad.add_row_bias(ad.matmul(stacked, leaves["comb_w0"]), leaves["comb_b0"])
+    z_c = ad.add_row_bias(ad.matmul(stacked, leaves["comb_w0"]), leaves["comb_b0"])
     return z_ct, z_cf, z_c
 
 

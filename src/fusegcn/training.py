@@ -1,4 +1,10 @@
-"""Training loop, optimizer, stratified splits, metrics, attention traces.
+"""Objectives, the training loop, optimizer, stratified splits and metrics.
+
+Each model has one objective, built once from its graphs (`full_objective`,
+`baseline_objective`): it maps the parameter arrays to the loss on a fresh
+tape plus what the loop records. `fit` is the one training loop (Adam, the
+non-finite loss check, records, early stopping) for either objective. Training,
+`model_gradient_check` and `fusegcn eval` all assemble the loss through these.
 
 Training is full-batch and deterministic per (dataset, config, seed): the
 split, parameter init, and every update follow fixed-order numpy arithmetic.
@@ -7,7 +13,8 @@ Early stopping keeps the parameters of the best validation epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,8 +22,8 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from . import losses as L
 from . import model as M
-from .autodiff import Tape, backward, finite_diff_check
-from .graphs import Graph, normalized_adjacency
+from .autodiff import Tape, TensorNode, backward, finite_diff_check
+from .graphs import Graph, knn_feature_graph, normalized_adjacency
 from .model import ATTENTION_VARIANTS, RESIDUAL_FORMS, ModelParams
 
 ADAM_BETA1 = 0.9
@@ -41,14 +48,16 @@ class TrainConfig:
     attention_variant: str = "sigmoid"
     ce_reduction: str = "sum"
     residual_form: str = "gcn"
-    combiner_depth: int = 1
-    normalize_closeness: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.train_per_class < 1:
-            raise ValueError("train_per_class must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if self.train_per_class < 1 or self.val_per_class < 1:
+            raise ValueError("train_per_class and val_per_class must be >= 1")
         if not 0.0 <= self.prop_weight <= 1.0 or not 0.0 <= self.common_mix <= 1.0:
             raise ValueError("mixing weights must lie in [0, 1]")
         if self.attention_variant not in ATTENTION_VARIANTS:
@@ -161,7 +170,7 @@ def attention_norm_trace(att_t: np.ndarray, att_f: np.ndarray, att_c: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# objectives and the training loop
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -202,68 +211,122 @@ def check_finite_losses(epoch: int, terms: dict[str, float]) -> None:
         raise ValueError(f"non-finite loss at epoch {epoch}: {', '.join(bad)}")
 
 
+class ObjectiveValue(NamedTuple):
+    """One evaluation of a model's objective on a fresh tape."""
+
+    loss: TensorNode
+    terms: dict[str, float]       # total, classification, closeness, disparity
+    y_hat: TensorNode
+    attention: tuple[float, float, float]
+    leaves: dict[str, TensorNode]
+
+
+def full_objective(g: Graph, g_f: Graph, cfg: TrainConfig, train_nodes: np.ndarray):
+    """The three-channel model's weighted total loss, as `objective(arrays)`.
+
+    `g` is the labeled topology graph, `g_f` the kNN feature graph over the
+    same nodes; the cross-entropy is taken over `train_nodes`.
+    """
+    p_t = normalized_adjacency(g)
+    p_f = normalized_adjacency(g_f)
+    x = sp.csr_array(g.features)
+    y = one_hot(g.labels, g.n_classes)
+
+    def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
+        fs = M.forward_full(Tape(), ModelParams(arrays), p_t, p_f, x,
+                            cfg.prop_weight, cfg.common_mix,
+                            cfg.attention_variant, cfg.residual_form)
+        l_cl = L.classification_loss(fs.y_hat, y, train_nodes, cfg.ce_reduction)
+        l_c = L.closeness_loss(fs.z_ct, fs.z_cf)
+        l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
+        l_total = L.total_loss(l_cl, l_c, l_d, cfg.loss_weights)
+        terms = {"total": l_total.item(), "classification": l_cl.item(),
+                 "closeness": l_c.item(), "disparity": l_d.item()}
+        attn = attention_norm_trace(fs.att_t.value, fs.att_f.value, fs.att_c.value)
+        return ObjectiveValue(l_total, terms, fs.y_hat, attn, fs.leaves)
+
+    return objective
+
+
+def baseline_objective(g: Graph, prop_graph: Graph, cfg: TrainConfig,
+                       train_nodes: np.ndarray):
+    """A plain two-layer GCN's weighted cross-entropy, as `objective(arrays)`.
+
+    Propagation runs over `prop_graph`; labels and features come from `g`.
+    """
+    p = normalized_adjacency(prop_graph)
+    x = sp.csr_array(g.features)
+    y = one_hot(g.labels, g.n_classes)
+
+    def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
+        y_hat, leaves = M.gcn_baseline_forward(Tape(), p, x, arrays)
+        l_cl = L.classification_loss(y_hat, y, train_nodes, cfg.ce_reduction)
+        loss = ad.scale(l_cl, cfg.loss_weights.classification)
+        terms = {"total": loss.item(), "classification": l_cl.item(),
+                 "closeness": 0.0, "disparity": 0.0}
+        return ObjectiveValue(loss, terms, y_hat, (0.0, 0.0, 0.0), leaves)
+
+    return objective
+
+
+def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Split,
+        cfg: TrainConfig, bias_names=()):
+    """Full-batch Adam on `objective`, early-stopped on validation accuracy.
+
+    Updates `params` in place. Returns (the arrays of the best validation
+    epoch, RunTrace); the trace's final scores come from one more pass with
+    those arrays.
+    """
+    state = init_adam_state(params)
+    records = []
+    best_val = -1.0
+    best_epoch = 0
+    best_params = {k: v.copy() for k, v in params.items()}
+    for epoch in range(1, cfg.epochs + 1):
+        out = objective(params)
+        check_finite_losses(epoch, out.terms)
+
+        train_acc, _ = evaluate(out.y_hat.value, labels, split.train)
+        val_acc, _ = evaluate(out.y_hat.value, labels, split.val)
+        test_acc, _ = evaluate(out.y_hat.value, labels, split.test)
+        records.append(EpochRecord(epoch, *out.terms.values(),
+                                   train_acc, val_acc, test_acc, *out.attention))
+        if val_acc > best_val:
+            best_val = val_acc
+            best_epoch = epoch
+            best_params = {k: v.copy() for k, v in params.items()}
+        if epoch - best_epoch >= cfg.patience:
+            break
+
+        backward(out.loss.tape, out.loss)
+        grads = {name: out.leaves[name].grad for name in params}
+        adam_step(params, grads, state, cfg.lr, cfg.weight_decay, epoch, bias_names)
+
+    final_acc, final_f1 = evaluate(objective(best_params).y_hat.value, labels, split.test)
+    return best_params, RunTrace(records, best_epoch, final_acc, final_f1)
+
+
+def _split_and_init_rng(g: Graph, cfg: TrainConfig):
+    if g.labels is None:
+        raise ValueError("training requires labels")
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    return make_split(g, cfg, cfg.seed), rng
+
+
 def train(g: Graph, g_f: Graph, cfg: TrainConfig):
     """Full-batch training of the three-channel model.
 
     `g` is the labeled topology graph, `g_f` the kNN feature graph over the
     same nodes. Returns (best ModelParams, RunTrace).
     """
-    if g.labels is None:
-        raise ValueError("training requires labels")
     if g_f.n_nodes != g.n_nodes:
         raise ValueError("feature graph must cover the same nodes")
-    n_classes = g.n_classes
-    y = one_hot(g.labels, n_classes)
-    split = make_split(g, cfg, cfg.seed)
-    p_t = normalized_adjacency(g)
-    p_f = normalized_adjacency(g_f)
-    x = sp.csr_array(g.features)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    params = ModelParams.init(g.features.shape[1], n_classes, cfg.hidden_dim, rng,
-                              cfg.combiner_depth)
-    state = init_adam_state(params.arrays)
+    split, rng = _split_and_init_rng(g, cfg)
+    objective = full_objective(g, g_f, cfg, split.train)
+    params = ModelParams.init(g.features.shape[1], g.n_classes, cfg.hidden_dim, rng)
     bias_names = {n for n in params.names() if params.is_bias(n)}
-
-    records = []
-    best_val = -1.0
-    best_epoch = 0
-    best_params = params.copy()
-    for epoch in range(1, cfg.epochs + 1):
-        tape = Tape()
-        fs = M.forward_full(tape, params, p_t, p_f, x,
-                            cfg.prop_weight, cfg.common_mix,
-                            cfg.attention_variant, cfg.residual_form)
-        l_cl = L.classification_loss(fs.y_hat, y, split.train, cfg.ce_reduction)
-        l_c = L.closeness_loss(fs.z_ct, fs.z_cf, cfg.normalize_closeness)
-        l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
-        l_total = L.total_loss(l_cl, l_c, l_d, cfg.loss_weights)
-        terms = {"total": l_total.item(), "classification": l_cl.item(),
-                 "closeness": l_c.item(), "disparity": l_d.item()}
-        check_finite_losses(epoch, terms)
-
-        train_acc, _ = evaluate(fs.y_hat.value, g.labels, split.train)
-        val_acc, _ = evaluate(fs.y_hat.value, g.labels, split.val)
-        test_acc, _ = evaluate(fs.y_hat.value, g.labels, split.test)
-        attn = attention_norm_trace(fs.att_t.value, fs.att_f.value, fs.att_c.value)
-        records.append(EpochRecord(epoch, *terms.values(),
-                                   train_acc, val_acc, test_acc, *attn))
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best_params = params.copy()
-        if epoch - best_epoch >= cfg.patience:
-            break
-
-        backward(tape, l_total)
-        grads = {name: fs.leaves[name].grad for name in params.names()}
-        adam_step(params.arrays, grads, state, cfg.lr, cfg.weight_decay, epoch, bias_names)
-
-    tape = Tape()
-    fs = M.forward_full(tape, best_params, p_t, p_f, x,
-                        cfg.prop_weight, cfg.common_mix,
-                        cfg.attention_variant, cfg.residual_form)
-    final_acc, final_f1 = evaluate(fs.y_hat.value, g.labels, split.test)
-    return best_params, RunTrace(records, best_epoch, final_acc, final_f1)
+    best, trace = fit(objective, params.arrays, g.labels, split, cfg, bias_names)
+    return ModelParams(best), trace
 
 
 def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | None = None):
@@ -273,50 +336,11 @@ def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | No
     pass the kNN feature graph for the feature-space baseline). Labels,
     features, and the split always come from `g`.
     """
-    if g.labels is None:
-        raise ValueError("training requires labels")
+    split, rng = _split_and_init_rng(g, cfg)
     prop_graph = g if graph_for_propagation is None else graph_for_propagation
-    n_classes = g.n_classes
-    y = one_hot(g.labels, n_classes)
-    split = make_split(g, cfg, cfg.seed)
-    p = normalized_adjacency(prop_graph)
-    x = sp.csr_array(g.features)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    params = M.baseline_init(g.features.shape[1], n_classes, cfg.hidden_dim, rng)
-    state = init_adam_state(params)
-
-    records = []
-    best_val = -1.0
-    best_epoch = 0
-    best_params = {k: v.copy() for k, v in params.items()}
-    for epoch in range(1, cfg.epochs + 1):
-        tape = Tape()
-        y_hat, leaves = M.gcn_baseline_forward(tape, p, x, params)
-        l_cl = L.classification_loss(y_hat, y, split.train, cfg.ce_reduction)
-        loss = ad.scale(l_cl, cfg.loss_weights.classification)
-        terms = {"total": loss.item(), "classification": l_cl.item()}
-        check_finite_losses(epoch, terms)
-
-        train_acc, _ = evaluate(y_hat.value, g.labels, split.train)
-        val_acc, _ = evaluate(y_hat.value, g.labels, split.val)
-        test_acc, _ = evaluate(y_hat.value, g.labels, split.test)
-        records.append(EpochRecord(epoch, *terms.values(), 0.0, 0.0,
-                                   train_acc, val_acc, test_acc, 0.0, 0.0, 0.0))
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-        if epoch - best_epoch >= cfg.patience:
-            break
-
-        backward(tape, loss)
-        grads = {name: leaves[name].grad for name in params}
-        adam_step(params, grads, state, cfg.lr, cfg.weight_decay, epoch)
-
-    tape = Tape()
-    y_hat, _ = M.gcn_baseline_forward(tape, p, x, best_params)
-    final_acc, final_f1 = evaluate(y_hat.value, g.labels, split.test)
-    return best_params, RunTrace(records, best_epoch, final_acc, final_f1)
+    objective = baseline_objective(g, prop_graph, cfg, split.train)
+    params = M.baseline_init(g.features.shape[1], g.n_classes, cfg.hidden_dim, rng)
+    return fit(objective, params, g.labels, split, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +363,25 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
                          seed: int = 0, eps: float = 1e-5, tolerance: float = 1e-4,
                          weights: L.LossWeights | None = None,
                          cfg: TrainConfig | None = None):
-    """Finite-difference check of the total-loss gradient w.r.t. every parameter."""
-    if cfg is None:
-        cfg = TrainConfig(hidden_dim=hidden, knn_k=min(3, n - 1),
-                          train_per_class=2, val_per_class=1, seed=seed)
+    """Finite-difference check of the total-loss gradient w.r.t. every parameter.
+
+    The model options come from `cfg`; the sizes and split are those of the
+    small check instance, and the loss weights are `weights` (all 1 by default).
+    """
     if weights is None:
         weights = L.LossWeights(1.0, 1.0, 1.0)
+    cfg = replace(cfg or TrainConfig(), hidden_dim=hidden, knn_k=min(3, n - 1),
+                  train_per_class=2, val_per_class=1, seed=seed, loss_weights=weights)
     g = random_check_instance(n, d, c, seed)
-    from .graphs import knn_feature_graph
     g_f = knn_feature_graph(g.features, cfg.knn_k)
-    p_t = normalized_adjacency(g)
-    p_f = normalized_adjacency(g_f)
-    x = sp.csr_array(g.features)
-    y = one_hot(g.labels, c)
-    mask = make_split(g, cfg, seed).train
-    rng = np.random.default_rng(seed + 1)
-    params = ModelParams.init(d, c, hidden, rng, cfg.combiner_depth)
+    objective = full_objective(g, g_f, cfg, make_split(g, cfg, seed).train)
+    params = ModelParams.init(d, c, hidden, np.random.default_rng(seed + 1))
     names = params.names()
 
     def f(arrays):
-        p = ModelParams(dict(zip(names, arrays)))
-        tape = Tape()
-        fs = M.forward_full(tape, p, p_t, p_f, x, cfg.prop_weight,
-                            cfg.common_mix, cfg.attention_variant, cfg.residual_form)
-        l_cl = L.classification_loss(fs.y_hat, y, mask, cfg.ce_reduction)
-        l_c = L.closeness_loss(fs.z_ct, fs.z_cf, cfg.normalize_closeness)
-        l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
-        l_total = L.total_loss(l_cl, l_c, l_d, weights)
-        backward(tape, l_total)
-        return l_total.item(), [fs.leaves[nm].grad for nm in names]
+        out = objective(dict(zip(names, arrays)))
+        backward(out.loss.tape, out.loss)
+        return out.loss.item(), [out.leaves[nm].grad for nm in names]
 
     return finite_diff_check(f, [params.arrays[nm] for nm in names], eps, tolerance,
                              param_names=names)

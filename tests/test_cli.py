@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,31 @@ class TestTrainCommand:
         eval_metrics = json.loads(capsys.readouterr().out)
         assert eval_metrics["test_accuracy"] == pytest.approx(train_metrics["accuracy"])
 
+    @pytest.mark.parametrize("model, message", [
+        ("gcn", "missing input_w1, input_b1, .*; unexpected w0, w1"),
+        ("full", "missing none; unexpected comb_w1"),
+    ])
+    def test_eval_rejects_other_parameters(self, synth_ds, tmp_path, capsys, model, message):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / model
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(out), "--model", model]) == 0
+        params = out / "params.npz"
+        if model == "full":     # a file of the removed two-layer combiner
+            with np.load(params) as data:
+                arrays = dict(data)
+            np.savez(params, comb_w1=np.zeros((8, 8)), **arrays)
+        capsys.readouterr()
+        assert cli_dispatch(["eval", "--data", str(synth_ds), "--params", str(params),
+                             "--config", str(cfg)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_zero_validation_nodes_exits_2(self, synth_ds, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, val_per_class=0)
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(tmp_path / "run")]) == 2
+        assert "val_per_class" in capsys.readouterr().err
+
 
 class TestGraphCommands:
     def test_knn_graph_output_unlabeled(self, synth_ds, tmp_path, capsys):
@@ -208,5 +234,14 @@ class TestGradcheckCommand:
     def test_small_gradcheck_passes(self, capsys):
         rc = cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",
                            "--hidden", "5", "--seed", "3"])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_config_model_options_apply_to_check_instance(self, tmp_path, capsys):
+        # the config's default split sizes are larger than the 8-node check instance
+        cfg = tmp_path / "softmax.cfg"
+        cfg.write_text("attention_variant = softmax\n")
+        rc = cli_dispatch(["gradcheck", "--config", str(cfg), "--nodes", "8", "--dim", "4",
+                           "--classes", "2", "--hidden", "5", "--seed", "3"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out

@@ -177,14 +177,13 @@ class TestConfig:
             "dataset = data/acm\n"
             "lr = 0.005\n"
             "knn_k = 9   # inline comment\n"
-            "normalize_closeness = true\n"
             "closeness_weight = 0.01\n"
         )
         parsed = parse_config(cfg_file)
         assert parsed == {"dataset": "data/acm", "lr": 0.005, "knn_k": 9,
-                          "normalize_closeness": True, "closeness_weight": 0.01}
+                          "closeness_weight": 0.01}
         cfg = config_to_train_config(parsed)
-        assert cfg.lr == 0.005 and cfg.knn_k == 9 and cfg.normalize_closeness
+        assert cfg.lr == 0.005 and cfg.knn_k == 9
         assert cfg.loss_weights.closeness == 0.01
         assert cfg.prop_weight == 0.8 and cfg.common_mix == 0.85  # defaults kept
 

@@ -54,14 +54,6 @@ class TestClosenessLoss:
             b = t.tensor(rng.standard_normal((4, 3)) + 0.1)
             assert closeness_loss(a, b).item() >= 0.0
 
-    def test_normalized_variant(self):
-        t = Tape()
-        rng = np.random.default_rng(3)
-        a = t.tensor(rng.standard_normal((4, 3)) + 0.1)
-        b = t.tensor(rng.standard_normal((4, 3)) + 0.1)
-        raw = closeness_loss(a, b).item()
-        assert closeness_loss(a, b, normalize=True).item() == pytest.approx(raw / 16)
-
     def test_zero_row_error(self):
         t = Tape()
         a = t.tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))

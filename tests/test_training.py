@@ -7,6 +7,7 @@ from fusegcn.heterophily import SynthSpec, generate_synthetic
 from fusegcn.losses import LossWeights
 from fusegcn import model as M
 from fusegcn.autodiff import Tape
+from fusegcn import training
 from fusegcn.training import (
     Split,
     TrainConfig,
@@ -45,6 +46,10 @@ class TestTrainConfig:
             TrainConfig(attention_variant="bogus")
         with pytest.raises(ValueError):
             TrainConfig(ce_reduction="total")
+        # each of these breaks training or early stopping
+        for bad in (dict(val_per_class=0), dict(patience=0), dict(hidden_dim=0)):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
 
 
 class TestMakeSplit:
@@ -255,3 +260,28 @@ class TestTrainBaseline:
         cfg = small_cfg(epochs=40)
         _, trace = train_baseline(g, cfg)
         assert trace.final_accuracy > 0.7
+
+
+class TestFinalPass:
+    # the final pass re-runs the forward pass with the best epoch's parameters,
+    # so it must score exactly what that epoch's predictions scored
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_final_scores_equal_best_epoch(self, monkeypatch, baseline):
+        g, g_f = small_dataset(seed=21)
+        cfg = small_cfg(epochs=12)
+        split = make_split(g, cfg, cfg.seed)
+        test_preds = []
+
+        def recording_evaluate(y_hat, labels, node_set):
+            if np.array_equal(node_set, split.test):
+                test_preds.append(y_hat.copy())
+            return evaluate(y_hat, labels, node_set)
+
+        monkeypatch.setattr(training, "evaluate", recording_evaluate)
+        _, trace = train_baseline(g, cfg) if baseline else train(g, g_f, cfg)
+        assert len(test_preds) == len(trace.records) + 1
+        assert trace.best_epoch < len(trace.records)    # the last update is not kept
+        best = trace.records[trace.best_epoch - 1]
+        assert trace.final_accuracy == best.test_acc
+        assert (trace.final_accuracy, trace.final_macro_f1) == \
+            evaluate(test_preds[trace.best_epoch - 1], g.labels, split.test)
