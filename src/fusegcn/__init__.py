@@ -9,7 +9,7 @@ from .graphs import (
 )
 from .autodiff import Tape, TensorNode, backward, finite_diff_check
 from .losses import LossWeights, closeness_loss, disparity_loss, classification_loss, total_loss
-from .model import ForwardState, ModelParams, forward_full, gcn_baseline_forward
+from .model import ForwardState, forward_full, gcn_baseline_forward, init_params
 from .training import (
     RunTrace,
     Split,

@@ -117,13 +117,11 @@ def _cmd_train(args) -> int:
         raise DatasetError("training requires a labeled dataset")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.model == "full":
-        g_f = knn_feature_graph(g.features, cfg.knn_k)
-        params, trace = train(g, g_f, cfg)
-        dataio.save_params(params, out_dir / "params.npz")
+        params, trace = train(g, knn_feature_graph(g.features, cfg.knn_k), cfg)
     else:
         prop = None if args.model == "gcn" else knn_feature_graph(g.features, cfg.knn_k)
         params, trace = train_baseline(g, cfg, graph_for_propagation=prop)
-        np.savez(out_dir / "params.npz", **params)
+    dataio.save_params(params, out_dir / "params.npz")
     dataio.emit_trace(trace, out_dir / "trace.csv")
     dataio.emit_metrics(trace, out_dir / "metrics.json")
     print(f"accuracy={trace.final_accuracy:.6f} macro_f1={trace.final_macro_f1:.6f} "
@@ -139,7 +137,7 @@ def _cmd_eval(args) -> int:
     params = dataio.load_params(args.params)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     split = make_split(g, cfg, cfg.seed)
-    y_hat = full_objective(g, g_f, cfg, split.train)(params.arrays).y_hat.value
+    y_hat = full_objective(g, g_f, cfg, split.train)(params).y_hat.value
     out = {}
     for name, nodes in (("train", split.train), ("val", split.val), ("test", split.test),
                         ("all", np.arange(g.n_nodes))):

@@ -9,24 +9,32 @@ A dataset is a directory of TSV files with headers:
     features.sparse.tsv   node_id feature_index value triples
 
 Feature values must be finite, and a sparse file names each (node_id,
-feature_index) pair at most once.
+feature_index) pair at most once; a meta key appears at most once.
+
+Each table is checked column by column: a line with the wrong number of
+fields reads `expected W columns, got K`, and every other check tests a
+whole column and names its first offending line. In a file with several
+faults the first in check order is reported, which need not be the lowest line.
 
 Saving canonicalizes ordering, so a load/save round trip is byte-stable.
 Config files are flat `key = value` lines with `#` comments; unknown keys
-are an error.
+are an error. The keys are the fields of `TrainConfig`, one
+`<name>_weight` per field of `LossWeights`, and `dataset`/`out_dir`.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .graphs import Graph, canonical_edges
 from .losses import LossWeights
-from .model import ModelParams
+from .model import init_params
 from .training import RunTrace, TrainConfig
 
 
@@ -72,89 +80,103 @@ def save_dataset(g: Graph, path) -> None:
             f.write(str(i) + "\t" + "\t".join(_fmt(v) for v in g.features[i]) + "\n")
 
 
-def _read_rows(path: Path, expected_header: list[str] | None = None):
+def _read_table(path: Path, header, width: int | None = None):
+    """(header, token list per column) of the TSV table at `path`.
+
+    `header` is the expected header, a tuple of accepted ones, or None for any;
+    each body line must have `width` fields (default: one per header name).
+    """
     if not path.is_file():
         raise DatasetError(f"missing required file {path}")
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    if expected_header is not None and header != expected_header:
-        raise DatasetError(f"{path}:1: expected header {expected_header}, got {header}")
-    return header, lines[1:]
+    got = lines[0].split("\t")
+    if isinstance(header, tuple):
+        if got not in header:
+            raise DatasetError(f"{path}:1: unrecognized header {got}")
+    elif header is not None and got != header:
+        raise DatasetError(f"{path}:1: expected header {header}, got {got}")
+    width = len(got) if width is None else width
+    body = lines[1:]
+    # per line, so that a long line and a short line cannot cancel out
+    tabs = np.fromiter(map(str.count, body, repeat("\t")), dtype=np.int64, count=len(body))
+    _check(tabs != width - 1, path,
+           lambda i: f"expected {width} columns, got {tabs[i] + 1}")
+    tokens = "\t".join(body).split("\t") if body else []
+    return got, [tokens[j::width] for j in range(width)]
 
 
-def _parse_int(token: str, path: Path, lineno: int) -> int:
+def _check(bad: np.ndarray, path: Path, message) -> None:
+    """Raise DatasetError with `message(i)` for the first row i (line i + 2) in `bad`."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise DatasetError(f"{path}:{rows[0] + 2}: {message(rows[0])}")
+
+
+def _parse(column: list[str], dtype, path: Path) -> np.ndarray:
+    """`column` as a `dtype` array; the first token that does not parse is named."""
     try:
-        return int(token)
-    except ValueError:
-        raise DatasetError(f"{path}:{lineno}: expected an integer, got {token!r}") from None
+        return np.array(column, dtype=dtype)
+    except (ValueError, OverflowError):
+        for i, token in enumerate(column):
+            try:
+                np.array(token, dtype=dtype)
+            except (ValueError, OverflowError):
+                what = (f"expected an integer, got {token!r}"
+                        if np.issubdtype(dtype, np.integer) else "malformed float")
+                raise DatasetError(f"{path}:{i + 2}: {what}") from None
+        raise
 
 
-def _raise_first_duplicate(rows, cols, path: Path):
+def _first_repeat(keys):
+    """(line, first line) of the first key equal to an earlier one."""
     first_line = {}
-    for ln, key in enumerate(zip(rows, cols), start=2):
+    for ln, key in enumerate(keys, start=2):
         seen = first_line.setdefault(key, ln)
         if seen != ln:
-            raise DatasetError(f"{path}:{ln}: duplicate entry for node {key[0]}, "
-                               f"feature {key[1]} (first on line {seen})")
+            return ln, seen
 
 
 def load_dataset(path) -> Graph:
-    """Load a dataset directory into a Graph, validating as it goes."""
+    """Load a dataset directory into a Graph, validating every line."""
     path = Path(path)
     if not path.is_dir():
         raise DatasetError(f"dataset directory {path} does not exist")
 
-    _, meta_rows = _read_rows(path / "meta.tsv", ["key", "value"])
-    meta = {}
-    for ln, row in enumerate(meta_rows, start=2):
-        parts = row.split("\t")
-        if len(parts) != 2:
-            raise DatasetError(f"{path / 'meta.tsv'}:{ln}: malformed key/value line")
-        meta[parts[0]] = _parse_int(parts[1], path / "meta.tsv", ln)
+    meta_path = path / "meta.tsv"
+    _, (keys, values) = _read_table(meta_path, ["key", "value"])
+    meta = dict(zip(keys, _parse(values, np.int64, meta_path).tolist()))
+    if len(meta) < len(keys):
+        ln, first = _first_repeat(keys)
+        raise DatasetError(f"{meta_path}:{ln}: duplicate key {keys[ln - 2]!r} "
+                           f"(first on line {first})")
     for key in ("n_nodes", "n_classes", "n_features"):
         if key not in meta:
-            raise DatasetError(f"{path / 'meta.tsv'}: missing key {key}")
+            raise DatasetError(f"{meta_path}: missing key {key}")
     n, n_classes, d = meta["n_nodes"], meta["n_classes"], meta["n_features"]
 
     nodes_path = path / "nodes.tsv"
-    header, node_rows = _read_rows(nodes_path)
-    if header not in (["node_id", "label"], ["node_id"]):
-        raise DatasetError(f"{nodes_path}:1: unrecognized header {header}")
-    labeled = header == ["node_id", "label"]
-    if len(node_rows) != n:
-        raise DatasetError(f"{nodes_path}: {len(node_rows)} rows, meta says {n} nodes")
-    labels = np.zeros(n, dtype=np.int64) if labeled else None
-    for ln, row in enumerate(node_rows, start=2):
-        parts = row.split("\t")
-        if len(parts) != len(header):
-            raise DatasetError(f"{nodes_path}:{ln}: malformed line")
-        node_id = _parse_int(parts[0], nodes_path, ln)
-        if node_id != ln - 2:
-            raise DatasetError(f"{nodes_path}:{ln}: node ids must be contiguous from 0 "
-                               f"(expected {ln - 2}, got {node_id})")
-        if labeled:
-            lab = _parse_int(parts[1], nodes_path, ln)
-            if not 0 <= lab < n_classes:
-                raise DatasetError(f"{nodes_path}:{ln}: label {lab} outside [0, {n_classes})")
-            labels[node_id] = lab
+    header, node_cols = _read_table(nodes_path, (["node_id", "label"], ["node_id"]))
+    if len(node_cols[0]) != n:
+        raise DatasetError(f"{nodes_path}: {len(node_cols[0])} rows, meta says {n} nodes")
+    ids = _parse(node_cols[0], np.int64, nodes_path)
+    _check(ids != np.arange(n), nodes_path,
+           lambda i: f"node ids must be contiguous from 0 (expected {i}, got {ids[i]})")
+    labels = None
+    if header == ["node_id", "label"]:
+        labels = _parse(node_cols[1], np.int64, nodes_path)
+        _check((labels < 0) | (labels >= n_classes), nodes_path,
+               lambda i: f"label {labels[i]} outside [0, {n_classes})")
 
     edges_path = path / "edges.tsv"
-    _, edge_rows = _read_rows(edges_path, ["src", "dst"])
-    raw = np.zeros((len(edge_rows), 2), dtype=np.int64)
-    for ln, row in enumerate(edge_rows, start=2):
-        parts = row.split("\t")
-        if len(parts) != 2:
-            raise DatasetError(f"{edges_path}:{ln}: malformed line")
-        a = _parse_int(parts[0], edges_path, ln)
-        b = _parse_int(parts[1], edges_path, ln)
-        if not (0 <= a < n and 0 <= b < n):
-            raise DatasetError(f"{edges_path}:{ln}: edge ({a}, {b}) out of range")
-        if a == b:
-            raise DatasetError(f"{edges_path}:{ln}: self-loop at node {a}")
-        raw[ln - 2] = (a, b)
+    _, edge_cols = _read_table(edges_path, ["src", "dst"])
+    a, b = (_parse(c, np.int64, edges_path) for c in edge_cols)
+    _check((a < 0) | (a >= n) | (b < 0) | (b >= n), edges_path,
+           lambda i: f"edge ({a[i]}, {b[i]}) out of range")
+    _check(a == b, edges_path, lambda i: f"self-loop at node {a[i]}")
+    raw = np.stack([a, b], axis=1)
     edges = canonical_edges(raw, n) if raw.shape[0] else raw
     if edges.shape[0] < raw.shape[0]:
         warnings.warn(f"{edges_path}: {raw.shape[0] - edges.shape[0]} duplicate edges dropped")
@@ -165,47 +187,29 @@ def load_dataset(path) -> Graph:
         raise DatasetError(f"{path}: both features.tsv and features.sparse.tsv present")
     x = np.zeros((n, d))
     if dense_path.is_file():
-        _, feat_rows = _read_rows(dense_path)
-        if len(feat_rows) != n:
-            raise DatasetError(f"{dense_path}: {len(feat_rows)} rows, meta says {n}")
-        for ln, row in enumerate(feat_rows, start=2):
-            parts = row.split("\t")
-            if len(parts) != d + 1:
-                raise DatasetError(f"{dense_path}:{ln}: expected {d + 1} columns, "
-                                   f"got {len(parts)}")
-            node_id = _parse_int(parts[0], dense_path, ln)
-            if node_id != ln - 2:
-                raise DatasetError(f"{dense_path}:{ln}: rows must follow node order")
-            try:
-                x[node_id] = [float(t) for t in parts[1:]]
-            except ValueError:
-                raise DatasetError(f"{dense_path}:{ln}: malformed float") from None
-        bad_rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
-        if bad_rows.size:   # row i is on line i + 2
-            raise DatasetError(f"{dense_path}:{bad_rows[0] + 2}: non-finite feature value")
+        _, feat_cols = _read_table(dense_path, None, d + 1)
+        if len(feat_cols[0]) != n:
+            raise DatasetError(f"{dense_path}: {len(feat_cols[0])} rows, meta says {n}")
+        _check(_parse(feat_cols[0], np.int64, dense_path) != np.arange(n), dense_path,
+               lambda i: "rows must follow node order")
+        for j, column in enumerate(feat_cols[1:]):
+            x[:, j] = _parse(column, np.float64, dense_path)
+        _check(~np.isfinite(x).all(axis=1), dense_path, lambda i: "non-finite feature value")
     elif sparse_path.is_file():
-        _, feat_rows = _read_rows(sparse_path, ["node_id", "feature_index", "value"])
-        rows, cols, values = [], [], []
-        for ln, row in enumerate(feat_rows, start=2):
-            parts = row.split("\t")
-            if len(parts) != 3:
-                raise DatasetError(f"{sparse_path}:{ln}: malformed line")
-            node_id = _parse_int(parts[0], sparse_path, ln)
-            fidx = _parse_int(parts[1], sparse_path, ln)
-            if not (0 <= node_id < n and 0 <= fidx < d):
-                raise DatasetError(f"{sparse_path}:{ln}: index out of range")
-            try:
-                values.append(float(parts[2]))
-            except ValueError:
-                raise DatasetError(f"{sparse_path}:{ln}: malformed float") from None
-            rows.append(node_id)
-            cols.append(fidx)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:    # entry i is on line i + 2
-            raise DatasetError(f"{sparse_path}:{bad[0] + 2}: non-finite feature value")
-        keys = np.sort(np.array(rows, dtype=np.int64) * d + np.array(cols, dtype=np.int64))
+        _, (row_col, idx_col, value_col) = _read_table(
+            sparse_path, ["node_id", "feature_index", "value"])
+        rows = _parse(row_col, np.int64, sparse_path)
+        cols = _parse(idx_col, np.int64, sparse_path)
+        _check((rows < 0) | (rows >= n) | (cols < 0) | (cols >= d), sparse_path,
+               lambda i: "index out of range")
+        values = _parse(value_col, np.float64, sparse_path)
+        _check(~np.isfinite(values), sparse_path, lambda i: "non-finite feature value")
+        keys = np.sort(rows * d + cols)
         if np.any(keys[1:] == keys[:-1]):
-            _raise_first_duplicate(rows, cols, sparse_path)
+            ln, first = _first_repeat(zip(rows.tolist(), cols.tolist()))
+            raise DatasetError(f"{sparse_path}:{ln}: duplicate entry for node "
+                               f"{rows[ln - 2]}, feature {cols[ln - 2]} "
+                               f"(first on line {first})")
         x[rows, cols] = values
     else:
         raise DatasetError(f"{path}: missing features.tsv (or features.sparse.tsv)")
@@ -217,26 +221,14 @@ def load_dataset(path) -> Graph:
 # config files
 # ---------------------------------------------------------------------------
 
+_TRAIN_FIELDS = typing.get_type_hints(TrainConfig)
+_WEIGHT_FIELDS = typing.get_type_hints(LossWeights)
+
 CONFIG_KEYS = {
+    **{name: typ for name, typ in _TRAIN_FIELDS.items() if name != "loss_weights"},
+    **{f"{name}_weight": typ for name, typ in _WEIGHT_FIELDS.items()},
     "dataset": str,
     "out_dir": str,
-    "prop_weight": float,
-    "common_mix": float,
-    "knn_k": int,
-    "hidden_dim": int,
-    "classification_weight": float,
-    "closeness_weight": float,
-    "disparity_weight": float,
-    "lr": float,
-    "weight_decay": float,
-    "epochs": int,
-    "patience": int,
-    "seed": int,
-    "train_per_class": int,
-    "val_per_class": int,
-    "attention_variant": str,
-    "ce_reduction": str,
-    "residual_form": str,
 }
 
 
@@ -268,18 +260,13 @@ def parse_config(path) -> dict:
 
 def config_to_train_config(cfg_dict: dict, seed_override: int | None = None) -> TrainConfig:
     """Build a TrainConfig from parsed keys; missing keys keep their defaults."""
-    weights = LossWeights(
-        classification=cfg_dict.get("classification_weight", 1.0),
-        closeness=cfg_dict.get("closeness_weight", 5e-4),
-        disparity=cfg_dict.get("disparity_weight", 1e-3),
-    )
-    fields = {k: v for k, v in cfg_dict.items()
-              if k not in ("dataset", "out_dir", "classification_weight",
-                           "closeness_weight", "disparity_weight")}
+    weights = {name: cfg_dict[f"{name}_weight"] for name in _WEIGHT_FIELDS
+               if f"{name}_weight" in cfg_dict}
+    given = {k: v for k, v in cfg_dict.items() if k in _TRAIN_FIELDS}
     if seed_override is not None:
-        fields["seed"] = seed_override
+        given["seed"] = seed_override
     try:
-        return TrainConfig(loss_weights=weights, **fields)
+        return TrainConfig(loss_weights=LossWeights(**weights), **given)
     except (TypeError, ValueError) as e:
         raise DatasetError(f"bad config: {e}") from None
 
@@ -314,11 +301,12 @@ def emit_metrics(trace: RunTrace, path) -> None:
         f.write("\n")
 
 
-def save_params(params: ModelParams, path) -> None:
-    np.savez(path, **params.arrays)
+def save_params(params: dict[str, np.ndarray], path) -> None:
+    """Save either model's parameter arrays under their names."""
+    np.savez(path, **params)
 
 
-def load_params(path) -> ModelParams:
+def load_params(path) -> dict[str, np.ndarray]:
     """Load the three-channel model's arrays saved by `save_params`.
 
     Raises DatasetError when the names differ from the model's, such as for
@@ -328,11 +316,11 @@ def load_params(path) -> ModelParams:
     if not path.is_file():
         raise DatasetError(f"params file {path} does not exist")
     with np.load(path, allow_pickle=False) as data:
-        params = ModelParams({k: data[k] for k in data.files})
+        params = {k: data[k] for k in data.files}
     # the names do not depend on the sizes, so a 1-wide model lists them
-    expected = ModelParams.init(1, 1, 1, np.random.default_rng(0)).names()
-    missing = [k for k in expected if k not in params.arrays]
-    unexpected = [k for k in params.names() if k not in expected]
+    expected = list(init_params(1, 1, 1, np.random.default_rng(0)))
+    missing = [k for k in expected if k not in params]
+    unexpected = [k for k in params if k not in expected]
     if missing or unexpected:
         raise DatasetError(
             f"{path} does not hold the three-channel model's parameters: "

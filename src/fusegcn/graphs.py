@@ -139,11 +139,19 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite feature value at node {bad[0]}")
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    # a row whose squares overflow or underflow is normalized after dividing it
+    # by its largest absolute value; other rows keep x / norms bit for bit
+    odd = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
+    peaks = np.abs(x[odd]).max(axis=1, keepdims=True, initial=0.0)
+    zero = odd[peaks[:, 0] == 0.0]
     if zero.size:
         raise ValueError(f"cosine similarity undefined: zero-norm feature row at node {zero[0]}")
+    norms[odd] = 1.0
     xn = x / norms[:, None]
+    scaled = x[odd] / peaks
+    xn[odd] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
     sim = xn @ xn.T
     del xn
     np.fill_diagonal(sim, -np.inf)

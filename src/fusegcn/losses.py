@@ -25,6 +25,8 @@ class LossWeights:
     disparity: float = 1e-3
 
     def __post_init__(self):
+        if not np.isfinite([self.classification, self.closeness, self.disparity]).all():
+            raise ValueError("loss weights must be finite")
         if self.classification <= 0:
             raise ValueError("classification weight must be positive")
         if self.closeness < 0 or self.disparity < 0:

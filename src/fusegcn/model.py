@@ -7,7 +7,8 @@ into a common embedding. Feature-level attention gates the fusion, and a
 linear head over the concatenated fused views yields class probabilities.
 
 Plain two-layer GCN baselines (topology graph / kNN feature graph) live here
-as well.
+as well. Either model's parameters are a plain dict of named arrays
+(`init_params`, `baseline_init`); `is_bias` tells the biases by name.
 """
 
 from __future__ import annotations
@@ -29,51 +30,41 @@ def glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class ModelParams:
-    """All trainable arrays, keyed by name; names ending in '_b*' are biases.
+def init_params(n_features: int, n_classes: int, hidden: int, rng) -> dict[str, np.ndarray]:
+    """The three-channel model's trainable arrays, keyed by name.
 
     The common encoder owns a single weight set (`common_w0/w1`) that both
     view passes reference; every hidden width equals the embedding width.
+    See `is_bias` for the naming rule of the biases.
     """
+    h = hidden
+    a = {}
+    a["input_w1"] = glorot(rng, n_features, h)
+    a["input_b1"] = np.zeros((1, h))
+    a["input_w2"] = glorot(rng, h, h)
+    a["input_b2"] = np.zeros((1, h))
+    for enc in ("topo", "feat", "common"):
+        a[f"{enc}_w0"] = glorot(rng, h, h)
+        a[f"{enc}_w1"] = glorot(rng, h, h)
+    a["anchor_w1"] = glorot(rng, h, h)
+    a["anchor_b1"] = np.zeros((1, h))
+    a["anchor_w2"] = glorot(rng, h, h)
+    a["anchor_b2"] = np.zeros((1, h))
+    a["comb_w0"] = glorot(rng, 2 * h, h)
+    a["comb_b0"] = np.zeros((1, h))
+    for ch in ("t", "f", "c"):
+        a[f"att_{ch}_w1"] = glorot(rng, h, h)
+        a[f"att_{ch}_b1"] = np.zeros((1, h))
+        a[f"att_{ch}_w2"] = glorot(rng, h, h)
+        a[f"att_{ch}_b2"] = np.zeros((1, h))
+    a["out_w"] = glorot(rng, 2 * h, n_classes)
+    a["out_b"] = np.zeros((1, n_classes))
+    return a
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self.arrays = dict(arrays)
 
-    @classmethod
-    def init(cls, n_features: int, n_classes: int, hidden: int, rng) -> "ModelParams":
-        h = hidden
-        a = {}
-        a["input_w1"] = glorot(rng, n_features, h)
-        a["input_b1"] = np.zeros((1, h))
-        a["input_w2"] = glorot(rng, h, h)
-        a["input_b2"] = np.zeros((1, h))
-        for enc in ("topo", "feat", "common"):
-            a[f"{enc}_w0"] = glorot(rng, h, h)
-            a[f"{enc}_w1"] = glorot(rng, h, h)
-        a["anchor_w1"] = glorot(rng, h, h)
-        a["anchor_b1"] = np.zeros((1, h))
-        a["anchor_w2"] = glorot(rng, h, h)
-        a["anchor_b2"] = np.zeros((1, h))
-        a["comb_w0"] = glorot(rng, 2 * h, h)
-        a["comb_b0"] = np.zeros((1, h))
-        for ch in ("t", "f", "c"):
-            a[f"att_{ch}_w1"] = glorot(rng, h, h)
-            a[f"att_{ch}_b1"] = np.zeros((1, h))
-            a[f"att_{ch}_w2"] = glorot(rng, h, h)
-            a[f"att_{ch}_b2"] = np.zeros((1, h))
-        a["out_w"] = glorot(rng, 2 * h, n_classes)
-        a["out_b"] = np.zeros((1, n_classes))
-        return cls(a)
-
-    def names(self):
-        return list(self.arrays)
-
-    def is_bias(self, name: str) -> bool:
-        return name.rsplit("_", 1)[-1].startswith("b")
-
-    @property
-    def hidden(self) -> int:
-        return self.arrays["input_w2"].shape[1]
+def is_bias(name: str) -> bool:
+    """Whether a parameter is a bias: its last `_` part starts with 'b'."""
+    return name.rsplit("_", 1)[-1].startswith("b")
 
 
 @dataclass
@@ -180,14 +171,14 @@ def predict(z_tilde_t, z_tilde_f, w, b):
     return z_hat, ad.softmax_rows(ad.add_row_bias(ad.matmul(z_hat, w), b))
 
 
-def forward_full(tape: Tape, params: ModelParams, p_t: sp.csr_array, p_f: sp.csr_array,
+def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p_f: sp.csr_array,
                  x: sp.csr_array, prop_weight: float, common_mix: float,
                  attention_variant: str = "sigmoid", residual_form: str = "gcn") -> ForwardState:
     """One full forward pass; returns every intermediate plus parameter leaves.
 
     `x` is the feature matrix as a sparse constant (see `input_mlp`).
     """
-    leaves = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
+    leaves = {name: tape.tensor(arr) for name, arr in params.items()}
     h0 = input_mlp(x, leaves["input_w1"], leaves["input_b1"],
                    leaves["input_w2"], leaves["input_b2"])
     z_t = encoder_forward(p_t, h0, leaves["topo_w0"], leaves["topo_w1"],
@@ -214,15 +205,16 @@ def baseline_init(n_features: int, n_classes: int, hidden: int, rng) -> dict[str
     return {"w0": glorot(rng, n_features, hidden), "w1": glorot(rng, hidden, n_classes)}
 
 
-def gcn_baseline_forward(tape: Tape, p: sp.csr_array, x: sp.csr_array,
+def gcn_baseline_forward(tape: Tape, p: sp.csr_array, px: sp.csr_array,
                          params: dict[str, np.ndarray]):
     """Two-layer GCN, no residual: softmax(P relu(P X W0) W1).
 
     Used for both baselines; pass the topology adjacency or the kNN feature
-    graph adjacency. `x` is the sparse feature matrix; the constant P X is
-    one sparse operand of the first product, so X gets no gradient.
+    graph adjacency as `p`, and the constant product `px` = P X of it with the
+    sparse feature matrix. P X is one sparse operand of the first product, so
+    X gets no gradient.
     """
     leaves = {name: tape.tensor(arr) for name, arr in params.items()}
-    h1 = ad.relu(ad.spmm(p @ x, leaves["w0"]))
+    h1 = ad.relu(ad.spmm(px, leaves["w0"]))
     y_hat = ad.softmax_rows(ad.matmul(ad.spmm(p, h1), leaves["w1"]))
     return y_hat, leaves

@@ -5,6 +5,8 @@ Each model has one objective, built once from its graphs (`full_objective`,
 tape plus what the loop records. `fit` is the one training loop (Adam, the
 non-finite loss check, records, early stopping) for either objective. Training,
 `model_gradient_check` and `fusegcn eval` all assemble the loss through these.
+Both models' parameters are plain dicts of named arrays, so `train` and
+`train_baseline` both return (dict, RunTrace).
 
 Training is full-batch and deterministic per (dataset, config, seed): the
 split, parameter init, and every update follow fixed-order numpy arithmetic.
@@ -24,7 +26,7 @@ from . import losses as L
 from . import model as M
 from .autodiff import Tape, TensorNode, backward, finite_diff_check
 from .graphs import Graph, knn_feature_graph, normalized_adjacency
-from .model import ATTENTION_VARIANTS, RESIDUAL_FORMS, ModelParams
+from .model import ATTENTION_VARIANTS, RESIDUAL_FORMS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -56,6 +58,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+        if not 0.0 <= self.lr < np.inf or not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError("lr and weight_decay must be finite and >= 0")
         if self.train_per_class < 1 or self.val_per_class < 1:
             raise ValueError("train_per_class and val_per_class must be >= 1")
         if not 0.0 <= self.prop_weight <= 1.0 or not 0.0 <= self.common_mix <= 1.0:
@@ -233,7 +237,7 @@ def full_objective(g: Graph, g_f: Graph, cfg: TrainConfig, train_nodes: np.ndarr
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
-        fs = M.forward_full(Tape(), ModelParams(arrays), p_t, p_f, x,
+        fs = M.forward_full(Tape(), arrays, p_t, p_f, x,
                             cfg.prop_weight, cfg.common_mix,
                             cfg.attention_variant, cfg.residual_form)
         l_cl = L.classification_loss(fs.y_hat, y, train_nodes, cfg.ce_reduction)
@@ -255,11 +259,11 @@ def baseline_objective(g: Graph, prop_graph: Graph, cfg: TrainConfig,
     Propagation runs over `prop_graph`; labels and features come from `g`.
     """
     p = normalized_adjacency(prop_graph)
-    x = sp.csr_array(g.features)
+    px = p @ sp.csr_array(g.features)
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
-        y_hat, leaves = M.gcn_baseline_forward(Tape(), p, x, arrays)
+        y_hat, leaves = M.gcn_baseline_forward(Tape(), p, px, arrays)
         l_cl = L.classification_loss(y_hat, y, train_nodes, cfg.ce_reduction)
         loss = ad.scale(l_cl, cfg.loss_weights.classification)
         terms = {"total": loss.item(), "classification": l_cl.item(),
@@ -270,13 +274,14 @@ def baseline_objective(g: Graph, prop_graph: Graph, cfg: TrainConfig,
 
 
 def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Split,
-        cfg: TrainConfig, bias_names=()):
+        cfg: TrainConfig):
     """Full-batch Adam on `objective`, early-stopped on validation accuracy.
 
-    Updates `params` in place. Returns (the arrays of the best validation
-    epoch, RunTrace); the trace's final scores come from one more pass with
-    those arrays.
+    Updates `params` in place; weight decay skips the biases (`model.is_bias`).
+    Returns (the arrays of the best validation epoch, RunTrace); the trace's
+    final scores come from one more pass with those arrays.
     """
+    bias_names = {name for name in params if M.is_bias(name)}
     state = init_adam_state(params)
     records = []
     best_val = -1.0
@@ -317,16 +322,14 @@ def train(g: Graph, g_f: Graph, cfg: TrainConfig):
     """Full-batch training of the three-channel model.
 
     `g` is the labeled topology graph, `g_f` the kNN feature graph over the
-    same nodes. Returns (best ModelParams, RunTrace).
+    same nodes. Returns (the best epoch's parameter arrays, RunTrace).
     """
     if g_f.n_nodes != g.n_nodes:
         raise ValueError("feature graph must cover the same nodes")
     split, rng = _split_and_init_rng(g, cfg)
     objective = full_objective(g, g_f, cfg, split.train)
-    params = ModelParams.init(g.features.shape[1], g.n_classes, cfg.hidden_dim, rng)
-    bias_names = {n for n in params.names() if params.is_bias(n)}
-    best, trace = fit(objective, params.arrays, g.labels, split, cfg, bias_names)
-    return ModelParams(best), trace
+    params = M.init_params(g.features.shape[1], g.n_classes, cfg.hidden_dim, rng)
+    return fit(objective, params, g.labels, split, cfg)
 
 
 def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | None = None):
@@ -375,13 +378,13 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
     g = random_check_instance(n, d, c, seed)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     objective = full_objective(g, g_f, cfg, make_split(g, cfg, seed).train)
-    params = ModelParams.init(d, c, hidden, np.random.default_rng(seed + 1))
-    names = params.names()
+    params = M.init_params(d, c, hidden, np.random.default_rng(seed + 1))
+    names = list(params)
 
     def f(arrays):
         out = objective(dict(zip(names, arrays)))
         backward(out.loss.tape, out.loss)
         return out.loss.item(), [out.leaves[nm].grad for nm in names]
 
-    return finite_diff_check(f, [params.arrays[nm] for nm in names], eps, tolerance,
+    return finite_diff_check(f, [params[nm] for nm in names], eps, tolerance,
                              param_names=names)

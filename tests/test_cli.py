@@ -151,6 +151,12 @@ class TestTrainCommand:
                              "--out", str(tmp_path / "run")]) == 2
         assert "val_per_class" in capsys.readouterr().err
 
+    def test_negative_lr_exits_2(self, synth_ds, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, lr=-0.05)
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(tmp_path / "run")]) == 2
+        assert "bad config: lr" in capsys.readouterr().err
+
 
 class TestGraphCommands:
     def test_knn_graph_output_unlabeled(self, synth_ds, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -179,6 +180,16 @@ class TestKnnFeatureGraph:
         x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="node 1"):
             knn_feature_graph(x, 1)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_extreme_row_scale(self, scale):
+        # squaring 1e200 overflows and squaring 1e-200 underflows
+        x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        x[0] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = knn_feature_graph(x, 1)
+        npt.assert_array_equal(g.edges, [[0, 1], [0, 2], [0, 3]])
 
     def test_k_bounds(self):
         x = np.eye(3)

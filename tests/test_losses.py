@@ -21,6 +21,10 @@ class TestLossWeights:
             LossWeights(classification=0.0)
         with pytest.raises(ValueError):
             LossWeights(closeness=-1.0)
+        for bad in (dict(closeness=np.nan), dict(classification=np.inf),
+                    dict(disparity=np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                LossWeights(**bad)
 
 
 class TestClosenessLoss:

@@ -59,7 +59,7 @@ class TestSparseFeatureInput:
         x = binary_csr(np.random.default_rng(42), 10, 7, zero_col=2)
         p_t = normalized_adjacency(g)
         p_f = normalized_adjacency(knn_feature_graph(g.features, 3))
-        params = M.ModelParams.init(7, 2, 6, np.random.default_rng(43))
+        params = M.init_params(7, 2, 6, np.random.default_rng(43))
         y = one_hot(g.labels, 2)
 
         def run():
@@ -83,7 +83,7 @@ class TestSparseFeatureInput:
         y = one_hot(g.labels, 3)
 
         t = Tape()
-        y_hat, leaves = M.gcn_baseline_forward(t, p, x, params)
+        y_hat, leaves = M.gcn_baseline_forward(t, p, p @ x, params)
         backward(t, classification_loss(y_hat, y, np.arange(9)))
 
         t_ref = Tape()
@@ -257,7 +257,7 @@ class TestBaselines:
         p = normalized_adjacency(g)
         t = Tape()
         params = {"w0": np.zeros((4, 5)), "w1": np.zeros((5, 3))}
-        y, _ = M.gcn_baseline_forward(t, p, g.features, params)
+        y, _ = M.gcn_baseline_forward(t, p, p @ g.features, params)
         npt.assert_allclose(y.value, np.full((6, 3), 1 / 3), atol=1e-15)
 
     def test_baseline_gradient_matches_fd(self):
@@ -272,7 +272,7 @@ class TestBaselines:
         def f(arrays):
             prm = dict(zip(names, arrays))
             t = Tape()
-            y, leaves = M.gcn_baseline_forward(t, p, g.features, prm)
+            y, leaves = M.gcn_baseline_forward(t, p, p @ g.features, prm)
             loss = classification_loss(y, y_true, mask)
             backward(t, loss)
             return loss.item(), [leaves[n].grad for n in names]
@@ -287,7 +287,7 @@ class TestFullModel:
         g_f = knn_feature_graph(g.features, 3)
         p_t, p_f = normalized_adjacency(g), normalized_adjacency(g_f)
         rng = np.random.default_rng(22)
-        params = M.ModelParams.init(4, 2, 6, rng)
+        params = M.init_params(4, 2, 6, rng)
         t = Tape()
         fs = M.forward_full(t, params, p_t, p_f, g.features, 0.8, 0.85)
         from fusegcn.losses import disparity_loss, total_loss
@@ -295,7 +295,7 @@ class TestFullModel:
         l_c = closeness_loss(fs.z_ct, fs.z_cf)
         l_d = disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
         backward(t, total_loss(l_cl, l_c, l_d, LossWeights(1.0, 1.0, 1.0)))
-        for name in params.names():
+        for name in params:
             assert np.any(fs.leaves[name].grad != 0.0), f"dead parameter {name}"
 
     def test_end_to_end_gradient_check_small(self):
@@ -316,12 +316,12 @@ class TestFullModel:
         g_f = knn_feature_graph(g.features, 3)
         p_t, p_f = normalized_adjacency(g), normalized_adjacency(g_f)
         rng = np.random.default_rng(24)
-        params = M.ModelParams.init(4, 2, 6, rng)
+        params = M.init_params(4, 2, 6, rng)
         x = sp.csr_array(g.features)
         t = Tape()
         fs = M.forward_full(t, params, p_t, p_f, x, 1.0, 0.0)
         # rebuild z_t by hand with plain (non-residual) layers
-        leaves = {k: t.tensor(v) for k, v in params.arrays.items()}
+        leaves = {k: t.tensor(v) for k, v in params.items()}
         h0 = M.input_mlp(x, leaves["input_w1"], leaves["input_b1"],
                          leaves["input_w2"], leaves["input_b2"])
         l1 = ad.relu(ad.matmul(ad.spmm(p_t, h0), leaves["topo_w0"]))

@@ -47,7 +47,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(ce_reduction="total")
         # each of these breaks training or early stopping
-        for bad in (dict(val_per_class=0), dict(patience=0), dict(hidden_dim=0)):
+        for bad in (dict(val_per_class=0), dict(patience=0), dict(hidden_dim=0),
+                    dict(lr=-0.05), dict(lr=np.nan), dict(lr=np.inf),
+                    dict(weight_decay=-5.0), dict(weight_decay=np.nan)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
