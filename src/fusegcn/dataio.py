@@ -11,10 +11,12 @@ A dataset is a directory of TSV files with headers:
 Feature values must be finite, and a sparse file names each (node_id,
 feature_index) pair at most once; a meta key appears at most once.
 
-Each table is checked column by column: a line with the wrong number of
-fields reads `expected W columns, got K`, and every other check tests a
-whole column and names its first offending line. In a file with several
-faults the first in check order is reported, which need not be the lowest line.
+A table is checked in order: the header's fields (the dense header follows
+n_features), each line's field count (`expected W columns, got K`, also for
+the header), tokens (parsed in blocks of rows, so a wide file never has all
+its tokens alive at once), then row checks that each test a whole column and
+name its first offending line. With several faults the first in check order
+is reported, which need not be the lowest line.
 
 Saving canonicalizes ordering, so a load/save round trip is byte-stable.
 Config files are flat `key = value` lines with `#` comments; unknown keys
@@ -80,32 +82,42 @@ def save_dataset(g: Graph, path) -> None:
             f.write(str(i) + "\t" + "\t".join(_fmt(v) for v in g.features[i]) + "\n")
 
 
-def _read_table(path: Path, header, width: int | None = None):
-    """(header, token list per column) of the TSV table at `path`.
+_BLOCK_CELLS = 1 << 16      # cells tokenized and parsed at a time
 
-    `header` is the expected header, a tuple of accepted ones, or None for any;
-    each body line must have `width` fields (default: one per header name).
-    """
+
+def _first_line(path: Path) -> list[str]:
+    """The header fields of the TSV table at `path`."""
     if not path.is_file():
         raise DatasetError(f"missing required file {path}")
     with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
+        first = f.readline().splitlines()
+    if not first:
         raise DatasetError(f"{path}: empty file")
-    got = lines[0].split("\t")
-    if isinstance(header, tuple):
-        if got not in header:
-            raise DatasetError(f"{path}:1: unrecognized header {got}")
-    elif header is not None and got != header:
+    return first[0].split("\t")
+
+
+def _read_table(path: Path, header: list[str], dtypes) -> list[np.ndarray]:
+    """The TSV table at `path`, whose header must be `header`, parsed into one
+    (rows, k) array per `(dtype, k)` in `dtypes`, each for k adjacent columns."""
+    got, width = _first_line(path), len(header)
+    if len(got) != width:
+        raise DatasetError(f"{path}:1: expected {width} columns, got {len(got)}")
+    if got != header:
         raise DatasetError(f"{path}:1: expected header {header}, got {got}")
-    width = len(got) if width is None else width
-    body = lines[1:]
+    body = path.read_text().splitlines()[1:]
     # per line, so that a long line and a short line cannot cancel out
     tabs = np.fromiter(map(str.count, body, repeat("\t")), dtype=np.int64, count=len(body))
     _check(tabs != width - 1, path,
            lambda i: f"expected {width} columns, got {tabs[i] + 1}")
-    tokens = "\t".join(body).split("\t") if body else []
-    return got, [tokens[j::width] for j in range(width)]
+    bounds = np.cumsum([0, *(k for _, k in dtypes)])
+    tables = [np.empty((len(body), k), dtype) for dtype, k in dtypes]
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, len(body), step):
+        block = body[start:start + step]
+        cells = np.array("\t".join(block).split("\t"), dtype=object).reshape(len(block), width)
+        for table, lo, hi in zip(tables, bounds, bounds[1:]):
+            table[start:start + len(block)] = _parse(cells[:, lo:hi], table.dtype, path, start)
+    return tables
 
 
 def _check(bad: np.ndarray, path: Path, message) -> None:
@@ -115,18 +127,18 @@ def _check(bad: np.ndarray, path: Path, message) -> None:
         raise DatasetError(f"{path}:{rows[0] + 2}: {message(rows[0])}")
 
 
-def _parse(column: list[str], dtype, path: Path) -> np.ndarray:
-    """`column` as a `dtype` array; the first token that does not parse is named."""
+def _parse(cells: np.ndarray, dtype, path: Path, start: int) -> np.ndarray:
+    """Token `cells` (row i on line start + i + 2) as `dtype`; the first bad token is named."""
     try:
-        return np.array(column, dtype=dtype)
+        return cells.astype(dtype)
     except (ValueError, OverflowError):
-        for i, token in enumerate(column):
+        for (i, *_), token in np.ndenumerate(cells):
             try:
                 np.array(token, dtype=dtype)
             except (ValueError, OverflowError):
                 what = (f"expected an integer, got {token!r}"
                         if np.issubdtype(dtype, np.integer) else "malformed float")
-                raise DatasetError(f"{path}:{i + 2}: {what}") from None
+                raise DatasetError(f"{path}:{start + i + 2}: {what}") from None
         raise
 
 
@@ -146,8 +158,9 @@ def load_dataset(path) -> Graph:
         raise DatasetError(f"dataset directory {path} does not exist")
 
     meta_path = path / "meta.tsv"
-    _, (keys, values) = _read_table(meta_path, ["key", "value"])
-    meta = dict(zip(keys, _parse(values, np.int64, meta_path).tolist()))
+    keys, values = _read_table(meta_path, ["key", "value"], [(object, 1), (np.int64, 1)])
+    keys = keys[:, 0].tolist()
+    meta = dict(zip(keys, values[:, 0].tolist()))
     if len(meta) < len(keys):
         ln, first = _first_repeat(keys)
         raise DatasetError(f"{meta_path}:{ln}: duplicate key {keys[ln - 2]!r} "
@@ -158,25 +171,25 @@ def load_dataset(path) -> Graph:
     n, n_classes, d = meta["n_nodes"], meta["n_classes"], meta["n_features"]
 
     nodes_path = path / "nodes.tsv"
-    header, node_cols = _read_table(nodes_path, (["node_id", "label"], ["node_id"]))
-    if len(node_cols[0]) != n:
-        raise DatasetError(f"{nodes_path}: {len(node_cols[0])} rows, meta says {n} nodes")
-    ids = _parse(node_cols[0], np.int64, nodes_path)
+    header = _first_line(nodes_path)
+    if header not in (["node_id", "label"], ["node_id"]):
+        raise DatasetError(f"{nodes_path}:1: unrecognized header {header}")
+    nodes, = _read_table(nodes_path, header, [(np.int64, len(header))])
+    ids, labels = nodes[:, 0], (nodes[:, 1] if len(header) == 2 else None)
+    if len(ids) != n:
+        raise DatasetError(f"{nodes_path}: {len(ids)} rows, meta says {n} nodes")
     _check(ids != np.arange(n), nodes_path,
            lambda i: f"node ids must be contiguous from 0 (expected {i}, got {ids[i]})")
-    labels = None
-    if header == ["node_id", "label"]:
-        labels = _parse(node_cols[1], np.int64, nodes_path)
+    if labels is not None:
         _check((labels < 0) | (labels >= n_classes), nodes_path,
                lambda i: f"label {labels[i]} outside [0, {n_classes})")
 
     edges_path = path / "edges.tsv"
-    _, edge_cols = _read_table(edges_path, ["src", "dst"])
-    a, b = (_parse(c, np.int64, edges_path) for c in edge_cols)
+    raw, = _read_table(edges_path, ["src", "dst"], [(np.int64, 2)])
+    a, b = raw.T
     _check((a < 0) | (a >= n) | (b < 0) | (b >= n), edges_path,
            lambda i: f"edge ({a[i]}, {b[i]}) out of range")
     _check(a == b, edges_path, lambda i: f"self-loop at node {a[i]}")
-    raw = np.stack([a, b], axis=1)
     edges = canonical_edges(raw, n) if raw.shape[0] else raw
     if edges.shape[0] < raw.shape[0]:
         warnings.warn(f"{edges_path}: {raw.shape[0] - edges.shape[0]} duplicate edges dropped")
@@ -185,31 +198,26 @@ def load_dataset(path) -> Graph:
     sparse_path = path / "features.sparse.tsv"
     if dense_path.is_file() and sparse_path.is_file():
         raise DatasetError(f"{path}: both features.tsv and features.sparse.tsv present")
-    x = np.zeros((n, d))
     if dense_path.is_file():
-        _, feat_cols = _read_table(dense_path, None, d + 1)
-        if len(feat_cols[0]) != n:
-            raise DatasetError(f"{dense_path}: {len(feat_cols[0])} rows, meta says {n}")
-        _check(_parse(feat_cols[0], np.int64, dense_path) != np.arange(n), dense_path,
-               lambda i: "rows must follow node order")
-        for j, column in enumerate(feat_cols[1:]):
-            x[:, j] = _parse(column, np.float64, dense_path)
+        ids, x = _read_table(dense_path, ["node_id", *(f"f{c}" for c in range(d))],
+                             [(np.int64, 1), (np.float64, d)])
+        if len(ids) != n:
+            raise DatasetError(f"{dense_path}: {len(ids)} rows, meta says {n}")
+        _check(ids[:, 0] != np.arange(n), dense_path, lambda i: "rows must follow node order")
         _check(~np.isfinite(x).all(axis=1), dense_path, lambda i: "non-finite feature value")
     elif sparse_path.is_file():
-        _, (row_col, idx_col, value_col) = _read_table(
-            sparse_path, ["node_id", "feature_index", "value"])
-        rows = _parse(row_col, np.int64, sparse_path)
-        cols = _parse(idx_col, np.int64, sparse_path)
+        index, values = _read_table(sparse_path, ["node_id", "feature_index", "value"],
+                                    [(np.int64, 2), (np.float64, 1)])
+        (rows, cols), (values,) = index.T, values.T
         _check((rows < 0) | (rows >= n) | (cols < 0) | (cols >= d), sparse_path,
                lambda i: "index out of range")
-        values = _parse(value_col, np.float64, sparse_path)
         _check(~np.isfinite(values), sparse_path, lambda i: "non-finite feature value")
         keys = np.sort(rows * d + cols)
         if np.any(keys[1:] == keys[:-1]):
             ln, first = _first_repeat(zip(rows.tolist(), cols.tolist()))
-            raise DatasetError(f"{sparse_path}:{ln}: duplicate entry for node "
-                               f"{rows[ln - 2]}, feature {cols[ln - 2]} "
-                               f"(first on line {first})")
+            raise DatasetError(f"{sparse_path}:{ln}: duplicate entry for node {rows[ln - 2]}, "
+                               f"feature {cols[ln - 2]} (first on line {first})")
+        x = np.zeros((n, d))
         x[rows, cols] = values
     else:
         raise DatasetError(f"{path}: missing features.tsv (or features.sparse.tsv)")

@@ -35,7 +35,6 @@ def init_params(n_features: int, n_classes: int, hidden: int, rng) -> dict[str, 
 
     The common encoder owns a single weight set (`common_w0/w1`) that both
     view passes reference; every hidden width equals the embedding width.
-    See `is_bias` for the naming rule of the biases.
     """
     h = hidden
     a = {}

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fusegcn import dataio
 from fusegcn.dataio import (
     CONFIG_KEYS,
     DatasetError,
@@ -179,6 +180,22 @@ class TestLoadValidation:
             f.write("n_nodes\t7\n")
         with pytest.raises(DatasetError,
                            match=r"meta\.tsv:5: duplicate key 'n_nodes' \(first on line 2\)"):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("n_features, header, message", [
+        (4, "garbage", "expected 5 columns, got 1"),
+        (4, "node_id\tf0\tf1\tf2\tf4", "expected header ['node_id', 'f0', 'f1', 'f2', 'f3'], "
+                                       "got ['node_id', 'f0', 'f1', 'f2', 'f4']"),
+        (5, None, "expected 6 columns, got 5"),    # meta names one feature more than the file has
+    ])
+    def test_dense_header_mismatch(self, tmp_path, n_features, header, message):
+        ds = self.make_valid(tmp_path)
+        meta = (ds / "meta.tsv").read_text()
+        (ds / "meta.tsv").write_text(meta.replace("n_features\t4", f"n_features\t{n_features}"))
+        if header is not None:
+            lines = (ds / "features.tsv").read_text().splitlines()
+            (ds / "features.tsv").write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(f"features.tsv:1: {message}")):
             load_dataset(ds)
 
 
@@ -357,7 +374,7 @@ def _append(text):
 
 
 def _drop(i):
-    return lambda lines: lines[:i] + lines[i + 1:]
+    return lambda lines: [line for k, line in enumerate(lines) if k != i % len(lines)]
 
 
 def _repeat_entry(lines):
@@ -406,6 +423,8 @@ COLUMN_FAULTS = [
     ("long meta line", "dense", "meta.tsv", _line(1, "n_nodes\t6\t0")),
     ("short dense line", "dense", "features.tsv", _line(2, "1\t0.5")),
     ("short sparse line", "sparse", SPARSE, _line(2, "0\t1")),
+    ("short edge header", "dense", "edges.tsv", _line(0, "src")),
+    ("long meta header", "dense", "meta.tsv", _line(0, "key\tvalue\tnote")),
 ]
 
 
@@ -425,6 +444,11 @@ def _messages(tmp_path, fmt, name, edit):
 
 class TestLoaderMatchesReference:
     """`load_dataset` against the per-line loader it replaced."""
+
+    @pytest.fixture(autouse=True, params=["one block", "one row per block"])
+    def block(self, request, monkeypatch):
+        if request.param == "one row per block":
+            monkeypatch.setattr(dataio, "_BLOCK_CELLS", 1)
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     def test_valid_datasets_load_identically(self, tmp_path, fmt):
