@@ -361,9 +361,8 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     return out
 
 
-def masked_cross_entropy(pred: TensorNode, y_onehot: np.ndarray, mask: np.ndarray,
-                         reduction: str = "sum") -> TensorNode:
-    """-sum_{v in mask} sum_c Y_vc ln pred_vc; `reduction="mean"` divides by |mask|.
+def masked_cross_entropy(pred: TensorNode, y_onehot: np.ndarray, mask: np.ndarray) -> TensorNode:
+    """-sum_{v in mask} sum_c Y_vc ln pred_vc.
 
     `pred` rows must sum to 1 within 1e-6. Probabilities are clamped to
     [PROB_FLOOR, 1] before the log.
@@ -372,8 +371,6 @@ def masked_cross_entropy(pred: TensorNode, y_onehot: np.ndarray, mask: np.ndarra
     y = np.asarray(y_onehot, dtype=np.float64)
     if y.shape != pred.shape:
         raise ValueError(f"one-hot labels shape {y.shape} does not match predictions {pred.shape}")
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     mask = np.asarray(mask, dtype=np.int64).ravel()
     if mask.size == 0:
         raise ValueError("cross-entropy mask is empty")
@@ -383,44 +380,16 @@ def masked_cross_entropy(pred: TensorNode, y_onehot: np.ndarray, mask: np.ndarra
     in_mask = np.zeros((pred.shape[0], 1))
     in_mask[mask] = 1.0
     p = np.clip(pred.value, PROB_FLOOR, 1.0)
-    denom = float(mask.size) if reduction == "mean" else 1.0
-    loss = -np.sum(in_mask * y * np.log(p)) / denom
+    loss = -np.sum(in_mask * y * np.log(p))
     out = tape.tensor([[loss]])
 
     def bwd():
-        g = out.grad[0, 0] / denom
+        g = out.grad[0, 0]
         active = pred.value >= PROB_FLOOR
         pred._add_grad(-(g * in_mask * y * active / p))
 
     tape._record(bwd)
     return out
-
-
-def channel_softmax3(a: TensorNode, b: TensorNode, c: TensorNode):
-    """Elementwise softmax across three equally-shaped nodes.
-
-    Returns three nodes whose values sum to 1 at every position. Used by the
-    softmax attention variant, where channel weights compete per feature.
-    """
-    tape = _same_tape(a, b, c)
-    if not (a.shape == b.shape == c.shape):
-        raise ValueError("channel_softmax3 requires equal shapes")
-    stack = np.stack([a.value, b.value, c.value])
-    stack = stack - stack.max(axis=0, keepdims=True)
-    e = np.exp(stack)
-    w = e / e.sum(axis=0, keepdims=True)
-    outs = tuple(tape.tensor(w[k]) for k in range(3))
-    ins = (a, b, c)
-
-    def bwd():
-        g = np.stack([o.grad for o in outs])
-        dot = (g * w).sum(axis=0, keepdims=True)
-        dx = w * (g - dot)
-        for k in range(3):
-            ins[k]._add_grad(dx[k])
-
-    tape._record(bwd)
-    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +428,12 @@ def finite_diff_check(f, params, eps: float = 1e-5, tolerance: float = 1e-4,
     `params` (a list of float64 arrays, perturbed in place and restored).
     Relative error per coordinate is |fd - g| / max(|fd|, |g|); coordinates
     where both magnitudes fall below 1e-6 count as matched, since there the
-    difference quotient is dominated by cancellation noise.
+    difference quotient is dominated by cancellation noise. A non-finite
+    difference quotient or gradient counts as relative error inf.
+    Raises ValueError unless `eps` is finite and positive.
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if param_names is None:
         param_names = [f"param{i}" for i in range(len(params))]
     _, grads = f(params)
@@ -476,7 +449,9 @@ def finite_diff_check(f, params, eps: float = 1e-5, tolerance: float = 1e-4,
             p[idx] = orig
             fd = (lp - lm) / (2.0 * eps)
             denom = max(abs(fd), abs(g[idx]))
-            if denom >= 1e-6:
+            if not (np.isfinite(fd) and np.isfinite(g[idx])):
+                worst = np.inf
+            elif denom >= 1e-6:
                 worst = max(worst, abs(fd - g[idx]) / denom)
         entries.append(FiniteDiffEntry(name, worst, int(np.prod(p.shape))))
     overall = max((e.max_rel_error for e in entries), default=0.0)

@@ -134,7 +134,7 @@ def _cmd_eval(args) -> int:
     g = dataio.load_dataset(args.data)
     if g.labels is None:
         raise DatasetError("evaluation requires a labeled dataset")
-    params = dataio.load_params(args.params)
+    params = dataio.load_params(args.params, g.features.shape[1], g.n_classes)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     split = make_split(g, cfg, cfg.seed)
     y_hat = full_objective(g, g_f, cfg, split.train)(params).y_hat.value

@@ -314,19 +314,22 @@ def save_params(params: dict[str, np.ndarray], path) -> None:
     np.savez(path, **params)
 
 
-def load_params(path) -> dict[str, np.ndarray]:
+def load_params(path, n_features: int, n_classes: int) -> dict[str, np.ndarray]:
     """Load the three-channel model's arrays saved by `save_params`.
 
     Raises DatasetError when the names differ from the model's, such as for
-    the parameters of a GCN baseline.
+    the parameters of a GCN baseline, or when a shape differs from that of
+    the model for `n_features` and `n_classes` at the file's hidden width.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"params file {path} does not exist")
     with np.load(path, allow_pickle=False) as data:
         params = {k: data[k] for k in data.files}
-    # the names do not depend on the sizes, so a 1-wide model lists them
-    expected = list(init_params(1, 1, 1, np.random.default_rng(0)))
+    w1, out_w = params.get("input_w1"), params.get("out_w")
+    # a width that is not a valid size shows below as a mismatch of input_w1
+    hidden = w1.shape[1] if w1 is not None and w1.ndim == 2 and w1.shape[1] > 0 else 1
+    expected = init_params(n_features, n_classes, hidden, np.random.default_rng(0))
     missing = [k for k in expected if k not in params]
     unexpected = [k for k in params if k not in expected]
     if missing or unexpected:
@@ -334,4 +337,13 @@ def load_params(path) -> dict[str, np.ndarray]:
             f"{path} does not hold the three-channel model's parameters: "
             f"missing {', '.join(missing) or 'none'}; "
             f"unexpected {', '.join(unexpected) or 'none'}")
+    wrong = [f"{k} {params[k].shape} (expected {v.shape})"
+             for k, v in expected.items() if params[k].shape != v.shape]
+    if wrong:
+        file_d = w1.shape[0] if w1.ndim == 2 else "?"
+        file_c = out_w.shape[1] if out_w.ndim == 2 else "?"
+        raise DatasetError(
+            f"params file {path} is for {file_d} features and {file_c} classes, but the "
+            f"dataset has {n_features} features and {n_classes} classes; "
+            f"wrong shapes: {', '.join(wrong)}")
     return params

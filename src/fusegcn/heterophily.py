@@ -46,6 +46,10 @@ class SweepPlan:
         lv = np.asarray(self.levels)
         if len(self.levels) != len(self.seeds):
             raise ValueError("one seed per level required")
+        if lv.size == 0:
+            raise ValueError("a sweep needs at least one level")
+        if not np.isfinite(lv).all():
+            raise ValueError(f"levels must be finite, got {self.levels}")
         if np.any(np.diff(lv) <= 0):
             raise ValueError("levels must be strictly increasing")
         if lv[-1] > MAX_SWEEP_LEVEL + 1e-12:

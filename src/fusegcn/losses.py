@@ -52,9 +52,8 @@ def disparity_loss(z_t, z_ct, z_f, z_cf):
     return ad.add_scaled(m_t, m_f, -1.0, -1.0)
 
 
-def classification_loss(y_hat, y_onehot: np.ndarray, train_mask: np.ndarray,
-                        reduction: str = "sum"):
-    return ad.masked_cross_entropy(y_hat, y_onehot, train_mask, reduction)
+def classification_loss(y_hat, y_onehot: np.ndarray, train_mask: np.ndarray):
+    return ad.masked_cross_entropy(y_hat, y_onehot, train_mask)
 
 
 def total_loss(l_cl, l_c, l_d, weights: LossWeights):

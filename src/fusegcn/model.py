@@ -21,10 +21,6 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tape, TensorNode
 
-ATTENTION_VARIANTS = ("sigmoid", "softmax")
-RESIDUAL_FORMS = ("gcn", "literal")
-
-
 def glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -68,20 +64,15 @@ def is_bias(name: str) -> bool:
 
 @dataclass
 class ForwardState:
-    """Every intermediate of one full forward pass, as tape nodes."""
+    """The nodes of one full forward pass that the losses and the trace read."""
 
-    h0: TensorNode
     z_t: TensorNode
     z_f: TensorNode
     z_ct: TensorNode
     z_cf: TensorNode
-    z_c: TensorNode
     att_t: TensorNode
     att_f: TensorNode
     att_c: TensorNode
-    z_tilde_t: TensorNode
-    z_tilde_f: TensorNode
-    z_hat: TensorNode
     y_hat: TensorNode
     leaves: dict[str, TensorNode]
 
@@ -101,28 +92,18 @@ def input_mlp(x: sp.csr_array, w1, b1, w2, b2):
     return ad.add_row_bias(ad.matmul(hidden, w2), b2)
 
 
-def residual_gcn_layer(p: sp.csr_array, h_l, h_0, w, prop_weight: float,
-                       form: str = "gcn"):
-    """One encoder layer: prop_weight * ReLU(P h_l W) + (1 - prop_weight) * h_0.
-
-    `form="literal"` drops the propagation term entirely, mixing h_l with h_0
-    directly (ablation of the graph term).
-    """
+def residual_gcn_layer(p: sp.csr_array, h_l, h_0, w, prop_weight: float):
+    """One encoder layer: prop_weight * ReLU(P h_l W) + (1 - prop_weight) * h_0."""
     if not 0.0 <= prop_weight <= 1.0:
         raise ValueError("prop_weight must lie in [0, 1]")
-    if form == "gcn":
-        propagated = ad.relu(ad.matmul(ad.spmm(p, h_l), w))
-    elif form == "literal":
-        propagated = h_l
-    else:
-        raise ValueError(f"unknown residual form {form!r}")
+    propagated = ad.relu(ad.matmul(ad.spmm(p, h_l), w))
     return ad.add_scaled(propagated, h_0, prop_weight, 1.0 - prop_weight)
 
 
-def encoder_forward(p: sp.csr_array, h0, w0, w1, prop_weight: float, form: str = "gcn"):
+def encoder_forward(p: sp.csr_array, h0, w0, w1, prop_weight: float):
     """Two stacked residual layers, both anchored to the encoder input h0."""
-    h1 = residual_gcn_layer(p, h0, h0, w0, prop_weight, form)
-    return residual_gcn_layer(p, h1, h0, w1, prop_weight, form)
+    h1 = residual_gcn_layer(p, h0, h0, w0, prop_weight)
+    return residual_gcn_layer(p, h1, h0, w1, prop_weight)
 
 
 def common_input(h_anchor, z, mix: float):
@@ -133,32 +114,26 @@ def common_input(h_anchor, z, mix: float):
 
 
 def common_encoder(p_t, p_f, h_anchor, z_t, z_f, w0, w1, leaves, mix: float,
-                   prop_weight: float, form: str = "gcn"):
+                   prop_weight: float):
     """Shared-weight encoder over both views plus the linear combiner."""
-    z_ct = encoder_forward(p_t, common_input(h_anchor, z_t, mix), w0, w1, prop_weight, form)
-    z_cf = encoder_forward(p_f, common_input(h_anchor, z_f, mix), w0, w1, prop_weight, form)
+    z_ct = encoder_forward(p_t, common_input(h_anchor, z_t, mix), w0, w1, prop_weight)
+    z_cf = encoder_forward(p_f, common_input(h_anchor, z_f, mix), w0, w1, prop_weight)
     stacked = ad.concat_cols(z_ct, z_cf)
     z_c = ad.add_row_bias(ad.matmul(stacked, leaves["comb_w0"]), leaves["comb_b0"])
     return z_ct, z_cf, z_c
 
 
-def attention_fuse(z_t, z_f, z_c, leaves, variant: str = "sigmoid"):
+def attention_fuse(z_t, z_f, z_c, leaves):
     """Per-node, per-feature gates for the three channels, then the fused views.
 
-    sigmoid: each channel's gate is an independent one-hidden-layer MLP with
-    sigmoid output. softmax: the same MLPs emit scores that compete across
-    channels through an elementwise softmax.
+    Each channel's gate is an independent one-hidden-layer MLP with sigmoid
+    output. All three MLP scores are taken before the first sigmoid, which
+    fixes the order of the tape.
     """
-    if variant not in ATTENTION_VARIANTS:
-        raise ValueError(f"unknown attention variant {variant!r}")
-    scores = {}
-    for ch, z in (("t", z_t), ("f", z_f), ("c", z_c)):
-        scores[ch] = mlp_two_layer(z, leaves[f"att_{ch}_w1"], leaves[f"att_{ch}_b1"],
-                                   leaves[f"att_{ch}_w2"], leaves[f"att_{ch}_b2"])
-    if variant == "sigmoid":
-        att_t, att_f, att_c = (ad.sigmoid(scores[ch]) for ch in ("t", "f", "c"))
-    else:
-        att_t, att_f, att_c = ad.channel_softmax3(scores["t"], scores["f"], scores["c"])
+    scores = [mlp_two_layer(z, leaves[f"att_{ch}_w1"], leaves[f"att_{ch}_b1"],
+                            leaves[f"att_{ch}_w2"], leaves[f"att_{ch}_b2"])
+              for ch, z in (("t", z_t), ("f", z_f), ("c", z_c))]
+    att_t, att_f, att_c = (ad.sigmoid(s) for s in scores)
     z_tilde_t = ad.add_scaled(ad.hadamard(att_t, z_t), ad.hadamard(att_c, z_c), 1.0, 1.0)
     z_tilde_f = ad.add_scaled(ad.hadamard(att_f, z_f), ad.hadamard(att_c, z_c), 1.0, 1.0)
     return z_tilde_t, z_tilde_f, att_t, att_f, att_c
@@ -167,33 +142,28 @@ def attention_fuse(z_t, z_f, z_c, leaves, variant: str = "sigmoid"):
 def predict(z_tilde_t, z_tilde_f, w, b):
     """Row-softmax over the linear head on the concatenated fused views."""
     z_hat = ad.concat_cols(z_tilde_t, z_tilde_f)
-    return z_hat, ad.softmax_rows(ad.add_row_bias(ad.matmul(z_hat, w), b))
+    return ad.softmax_rows(ad.add_row_bias(ad.matmul(z_hat, w), b))
 
 
 def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p_f: sp.csr_array,
-                 x: sp.csr_array, prop_weight: float, common_mix: float,
-                 attention_variant: str = "sigmoid", residual_form: str = "gcn") -> ForwardState:
-    """One full forward pass; returns every intermediate plus parameter leaves.
+                 x: sp.csr_array, prop_weight: float, common_mix: float) -> ForwardState:
+    """One full forward pass; returns the nodes the objective reads plus parameter leaves.
 
     `x` is the feature matrix as a sparse constant (see `input_mlp`).
     """
     leaves = {name: tape.tensor(arr) for name, arr in params.items()}
     h0 = input_mlp(x, leaves["input_w1"], leaves["input_b1"],
                    leaves["input_w2"], leaves["input_b2"])
-    z_t = encoder_forward(p_t, h0, leaves["topo_w0"], leaves["topo_w1"],
-                          prop_weight, residual_form)
-    z_f = encoder_forward(p_f, h0, leaves["feat_w0"], leaves["feat_w1"],
-                          prop_weight, residual_form)
+    z_t = encoder_forward(p_t, h0, leaves["topo_w0"], leaves["topo_w1"], prop_weight)
+    z_f = encoder_forward(p_f, h0, leaves["feat_w0"], leaves["feat_w1"], prop_weight)
     h_anchor = mlp_two_layer(h0, leaves["anchor_w1"], leaves["anchor_b1"],
                              leaves["anchor_w2"], leaves["anchor_b2"])
     z_ct, z_cf, z_c = common_encoder(p_t, p_f, h_anchor, z_t, z_f,
                                      leaves["common_w0"], leaves["common_w1"], leaves,
-                                     common_mix, prop_weight, residual_form)
-    z_tilde_t, z_tilde_f, att_t, att_f, att_c = attention_fuse(
-        z_t, z_f, z_c, leaves, attention_variant)
-    z_hat, y_hat = predict(z_tilde_t, z_tilde_f, leaves["out_w"], leaves["out_b"])
-    return ForwardState(h0, z_t, z_f, z_ct, z_cf, z_c, att_t, att_f, att_c,
-                        z_tilde_t, z_tilde_f, z_hat, y_hat, leaves)
+                                     common_mix, prop_weight)
+    z_tilde_t, z_tilde_f, att_t, att_f, att_c = attention_fuse(z_t, z_f, z_c, leaves)
+    y_hat = predict(z_tilde_t, z_tilde_f, leaves["out_w"], leaves["out_b"])
+    return ForwardState(z_t, z_f, z_ct, z_cf, att_t, att_f, att_c, y_hat, leaves)
 
 
 # ---------------------------------------------------------------------------

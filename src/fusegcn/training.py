@@ -26,7 +26,6 @@ from . import losses as L
 from . import model as M
 from .autodiff import Tape, TensorNode, backward, finite_diff_check
 from .graphs import Graph, knn_feature_graph, normalized_adjacency
-from .model import ATTENTION_VARIANTS, RESIDUAL_FORMS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -47,9 +46,6 @@ class TrainConfig:
     seed: int = 0
     train_per_class: int = 40
     val_per_class: int = 40
-    attention_variant: str = "sigmoid"
-    ce_reduction: str = "sum"
-    residual_form: str = "gcn"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -64,12 +60,6 @@ class TrainConfig:
             raise ValueError("train_per_class and val_per_class must be >= 1")
         if not 0.0 <= self.prop_weight <= 1.0 or not 0.0 <= self.common_mix <= 1.0:
             raise ValueError("mixing weights must lie in [0, 1]")
-        if self.attention_variant not in ATTENTION_VARIANTS:
-            raise ValueError(f"attention_variant must be one of {ATTENTION_VARIANTS}")
-        if self.ce_reduction not in ("sum", "mean"):
-            raise ValueError("ce_reduction must be 'sum' or 'mean'")
-        if self.residual_form not in RESIDUAL_FORMS:
-            raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")
 
 
 @dataclass(frozen=True)
@@ -237,10 +227,8 @@ def full_objective(g: Graph, g_f: Graph, cfg: TrainConfig, train_nodes: np.ndarr
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
-        fs = M.forward_full(Tape(), arrays, p_t, p_f, x,
-                            cfg.prop_weight, cfg.common_mix,
-                            cfg.attention_variant, cfg.residual_form)
-        l_cl = L.classification_loss(fs.y_hat, y, train_nodes, cfg.ce_reduction)
+        fs = M.forward_full(Tape(), arrays, p_t, p_f, x, cfg.prop_weight, cfg.common_mix)
+        l_cl = L.classification_loss(fs.y_hat, y, train_nodes)
         l_c = L.closeness_loss(fs.z_ct, fs.z_cf)
         l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
         l_total = L.total_loss(l_cl, l_c, l_d, cfg.loss_weights)
@@ -264,7 +252,7 @@ def baseline_objective(g: Graph, prop_graph: Graph, cfg: TrainConfig,
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
         y_hat, leaves = M.gcn_baseline_forward(Tape(), p, px, arrays)
-        l_cl = L.classification_loss(y_hat, y, train_nodes, cfg.ce_reduction)
+        l_cl = L.classification_loss(y_hat, y, train_nodes)
         loss = ad.scale(l_cl, cfg.loss_weights.classification)
         terms = {"total": loss.item(), "classification": l_cl.item(),
                  "closeness": 0.0, "disparity": 0.0}

@@ -184,13 +184,6 @@ class TestForwardValues:
         a = t.tensor([[1.0, 0.0], [1.0, 1.0]])
         npt.assert_array_equal(ad.row_gram(a).value, [[1.0, 1.0], [1.0, 2.0]])
 
-    def test_channel_softmax3_sums_to_one(self):
-        t = Tape()
-        rng = np.random.default_rng(0)
-        outs = ad.channel_softmax3(*(t.tensor(rng.standard_normal((3, 4))) for _ in range(3)))
-        total = outs[0].value + outs[1].value + outs[2].value
-        npt.assert_allclose(total, np.ones((3, 4)), atol=1e-14)
-
 
 class TestMaskedCrossEntropy:
     def test_perfect_prediction_near_zero(self):
@@ -214,13 +207,6 @@ class TestMaskedCrossEntropy:
         y = np.eye(4)
         loss = ad.masked_cross_entropy(pred, y, np.array([0, 2]))
         assert loss.item() == pytest.approx(2 * np.log(4))
-
-    def test_mean_reduction(self):
-        t = Tape()
-        pred = t.tensor(np.full((4, 4), 0.25))
-        y = np.eye(4)
-        loss = ad.masked_cross_entropy(pred, y, np.array([0, 2]), reduction="mean")
-        assert loss.item() == pytest.approx(np.log(4))
 
     def test_preconditions(self):
         t = Tape()
@@ -351,9 +337,6 @@ OP_CASES = {
     "gram_distance_sq": lambda t, ns: ad.gram_distance_sq(ns[0], ns[1]),
     "mean_row_cosine": lambda t, ns: ad.mean_row_cosine(ns[0], ns[1]),
     "spmm": None,  # handled separately (needs a sparse operand)
-    "channel_softmax3": lambda t, ns: sum_sq(
-        ad.add_scaled(ad.add_scaled(*ad.channel_softmax3(ns[0], ns[1], ns[2])[:2], 1.0, 2.0),
-                      ad.channel_softmax3(ns[0], ns[1], ns[2])[2], 1.0, 3.0)),
     "masked_cross_entropy": lambda t, ns: ad.masked_cross_entropy(
         ad.softmax_rows(ns[0]), np.eye(ns[0].shape[1])[np.arange(ns[0].shape[0]) % ns[0].shape[1]],
         np.arange(ns[0].shape[0])),
@@ -379,8 +362,6 @@ def build_values(name, rng):
         a = rng.standard_normal((r, c)) + np.sign(rng.standard_normal((r, c))) * 0.5
         b = rng.standard_normal((r, c)) + np.sign(rng.standard_normal((r, c))) * 0.5
         return [a, b][: 2 if name == "mean_row_cosine" else 1]
-    if name == "channel_softmax3":
-        return [rng.standard_normal((r, c)) for _ in range(3)]
     if name == "masked_cross_entropy":
         return [rng.standard_normal((int(rng.integers(2, 7)), int(rng.integers(2, 5))))]
     return [rng.standard_normal((r, c))]
@@ -533,3 +514,27 @@ class TestFiniteDiffCheck:
 
         report = finite_diff_check(f, [np.ones((2, 2))])
         assert not report.passed
+
+    def test_nan_gradient_fails(self):
+        def f(params):
+            return float(np.sum(params[0] ** 2)), [np.full_like(params[0], np.nan)]
+
+        report = finite_diff_check(f, [np.ones((2, 2))])
+        assert not report.passed
+        assert report.max_rel_error == np.inf
+
+    def test_nan_loss_fails(self):
+        def f(params):
+            return float("nan"), [np.zeros_like(params[0])]
+
+        report = finite_diff_check(f, [np.ones((2, 2))])
+        assert not report.passed
+        assert report.max_rel_error == np.inf
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan, np.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        def f(params):
+            return float(np.sum(params[0] ** 2)), [2.0 * params[0]]
+
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            finite_diff_check(f, [np.ones((2, 2))], eps=eps)

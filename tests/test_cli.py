@@ -151,6 +151,29 @@ class TestTrainCommand:
                              "--out", str(tmp_path / "run")]) == 2
         assert "val_per_class" in capsys.readouterr().err
 
+    def test_removed_model_switch_exits_2(self, synth_ds, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, attention_variant="softmax")
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(tmp_path / "run")]) == 2
+        assert "unknown config key 'attention_variant'" in capsys.readouterr().err
+
+    def test_eval_params_of_other_feature_count_exits_2(self, tmp_path, capsys):
+        data = {}
+        for dim in ("4", "6"):
+            data[dim] = tmp_path / f"d{dim}"
+            assert cli_dispatch(["synth", "--nodes", "120", "--classes", "2", "--dim", dim,
+                                 "--seed", "0", "--out", str(data[dim])]) == 0
+        cfg = tiny_config(tmp_path)
+        assert cli_dispatch(["train", "--data", str(data["4"]), "--config", str(cfg),
+                             "--out", str(tmp_path / "run")]) == 0
+        params = tmp_path / "run" / "params.npz"
+        capsys.readouterr()
+        assert cli_dispatch(["eval", "--data", str(data["6"]), "--params", str(params),
+                             "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"params file {params} is for 4 features and 2 classes" in err
+        assert "the dataset has 6 features and 2 classes" in err
+
     def test_negative_lr_exits_2(self, synth_ds, tmp_path, capsys):
         cfg = tiny_config(tmp_path, lr=-0.05)
         assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
@@ -235,6 +258,16 @@ class TestSweepCommand:
         levels = [float(l.split(",")[0]) for l in lines[1:]]
         assert levels == sorted(levels)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--levels", "0", "a sweep needs at least one level"),
+        ("--max-het", "nan", "levels must be finite"),
+    ])
+    def test_bad_plan_exits_2(self, synth_ds, tmp_path, capsys, flag, value, message):
+        assert cli_dispatch(["sweep", "--data", str(synth_ds), "--config",
+                             str(tiny_config(tmp_path)), "--out", str(tmp_path / "sw"),
+                             flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_small_gradcheck_passes(self, capsys):
@@ -243,11 +276,20 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps", ["nan", "0"])
+    def test_bad_eps_exits_2(self, eps, capsys):
+        assert cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",
+                             "--hidden", "5", "--eps", eps]) == 2
+        assert "eps must be finite and > 0" in capsys.readouterr().err
+
     def test_config_model_options_apply_to_check_instance(self, tmp_path, capsys):
         # the config's default split sizes are larger than the 8-node check instance
-        cfg = tmp_path / "softmax.cfg"
-        cfg.write_text("attention_variant = softmax\n")
-        rc = cli_dispatch(["gradcheck", "--config", str(cfg), "--nodes", "8", "--dim", "4",
-                           "--classes", "2", "--hidden", "5", "--seed", "3"])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        size = ["--nodes", "8", "--dim", "4", "--classes", "2", "--hidden", "5", "--seed", "3"]
+        assert cli_dispatch(["gradcheck", *size]) == 0
+        default = capsys.readouterr().out
+        cfg = tmp_path / "mix.cfg"
+        cfg.write_text("prop_weight = 0.5\ncommon_mix = 0.3\n")
+        assert cli_dispatch(["gradcheck", "--config", str(cfg), *size]) == 0
+        mixed = capsys.readouterr().out
+        assert "PASS" in mixed
+        assert mixed != default     # the mixing weights changed the checked model

@@ -497,10 +497,15 @@ class TestConfig:
         assert cfg.loss_weights.closeness == 0.01
         assert cfg.prop_weight == 0.8 and cfg.common_mix == 0.85  # defaults kept
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # the last three are the removed model switches: an old config naming
+    # one must fail, not silently train the one remaining model
+    @pytest.mark.parametrize("line", ["learning_rate = 0.01", "attention_variant = softmax",
+                                      "ce_reduction = mean", "residual_form = literal"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("learning_rate = 0.01\n")
-        with pytest.raises(DatasetError, match="unknown config key"):
+        cfg_file.write_text(line + "\n")
+        key = line.split(" =")[0]
+        with pytest.raises(DatasetError, match=f"unknown config key '{key}'"):
             parse_config(cfg_file)
 
     def test_bad_value_type(self, tmp_path):
@@ -515,8 +520,7 @@ class TestConfig:
             "knn_k": int, "hidden_dim": int, "classification_weight": float,
             "closeness_weight": float, "disparity_weight": float, "lr": float,
             "weight_decay": float, "epochs": int, "patience": int, "seed": int,
-            "train_per_class": int, "val_per_class": int, "attention_variant": str,
-            "ce_reduction": str, "residual_form": str,
+            "train_per_class": int, "val_per_class": int,
         }
 
     def test_readme_lists_the_keys(self):
@@ -567,7 +571,26 @@ class TestParamsRoundTrip:
         rng = np.random.default_rng(0)
         params = init_params(5, 3, 4, rng)
         save_params(params, tmp_path / "p.npz")
-        loaded = load_params(tmp_path / "p.npz")
+        loaded = load_params(tmp_path / "p.npz", 5, 3)
         assert set(loaded) == set(params)
         for k in params:
             npt.assert_array_equal(loaded[k], params[k])
+
+    @pytest.mark.parametrize("d, c", [(6, 3), (5, 2)])
+    def test_shape_mismatch_names_file_and_counts(self, tmp_path, d, c):
+        save_params(init_params(5, 3, 4, np.random.default_rng(0)), tmp_path / "p.npz")
+        with pytest.raises(DatasetError, match=rf"p\.npz is for 5 features and 3 classes, "
+                           rf"but the dataset has {d} features and {c} classes"):
+            load_params(tmp_path / "p.npz", d, c)
+
+    @pytest.mark.parametrize("name, shape, listed", [
+        ("topo_w0", (4, 3), r"topo_w0 \(4, 3\) \(expected \(4, 4\)\)"),
+        ("input_w1", (5, 0), r"input_w1 \(5, 0\) \(expected \(5, 1\)\)"),
+        ("input_w1", (5,), r"input_w1 \(5,\) \(expected \(5, 1\)\)"),
+    ])
+    def test_malformed_shape_listed(self, tmp_path, name, shape, listed):
+        params = init_params(5, 3, 4, np.random.default_rng(0))
+        params[name] = np.zeros(shape)
+        save_params(params, tmp_path / "p.npz")
+        with pytest.raises(DatasetError, match="wrong shapes: " + listed):
+            load_params(tmp_path / "p.npz", 5, 3)

@@ -344,6 +344,17 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             SweepPlan((0.5, 0.99), (1, 2), g)
 
+    def test_empty_levels_rejected(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            SweepPlan((), (), graph_with_counts(10, 2))
+
+    def test_non_finite_levels_rejected(self):
+        g = graph_with_counts(10, 2)
+        with pytest.raises(ValueError, match="levels must be finite"):
+            SweepPlan((0.2, float("nan")), (1, 2), g)
+        with pytest.raises(ValueError, match="levels must be finite"):
+            make_sweep_plan(g, max_level=float("nan"))
+
 
 def tiny_cfg(**kw):
     defaults = dict(hidden_dim=8, knn_k=3, epochs=8, patience=8, seed=0,

@@ -132,5 +132,3 @@ class TestClassificationLoss:
         y = np.eye(3)
         loss = classification_loss(pred, y, np.array([0, 1]))
         assert loss.item() == pytest.approx(2 * np.log(3))
-        loss_mean = classification_loss(pred, y, np.array([0, 1]), reduction="mean")
-        assert loss_mean.item() == pytest.approx(np.log(3))

@@ -126,15 +126,6 @@ class TestResidualLayer:
                                    t.tensor([[1.0]]), 0.8)
         assert out.item() == pytest.approx(2.6)
 
-    def test_literal_form_ignores_propagation(self):
-        t = Tape()
-        p = identity_sparse(2)
-        h_l = t.tensor([[1.0, -1.0], [2.0, 0.5]])
-        h_0 = t.tensor([[0.0, 4.0], [0.0, 4.0]])
-        w = t.tensor(np.full((2, 2), 99.0))
-        out = M.residual_gcn_layer(p, h_l, h_0, w, 0.25, form="literal")
-        npt.assert_allclose(out.value, 0.25 * h_l.value + 0.75 * h_0.value, rtol=1e-15)
-
     def test_prop_weight_range_checked(self):
         t = Tape()
         p = identity_sparse(1)
@@ -218,24 +209,13 @@ class TestAttentionFuse:
         npt.assert_allclose(zt_til.value, np.zeros((4, 3)), atol=1e-12)
         npt.assert_allclose(zf_til.value, np.zeros((4, 3)), atol=1e-12)
 
-    def test_softmax_variant_weights_sum_to_one(self):
-        t = Tape()
-        rng = np.random.default_rng(15)
-        z_t, z_f, z_c = (t.tensor(rng.standard_normal((4, 3))) for _ in range(3))
-        leaves = {f"att_{ch}_{nm}": t.tensor(rng.standard_normal(shape) * 0.3)
-                  for ch in ("t", "f", "c")
-                  for nm, shape in (("w1", (3, 3)), ("b1", (1, 3)),
-                                    ("w2", (3, 3)), ("b2", (1, 3)))}
-        _, _, a_t, a_f, a_c = M.attention_fuse(z_t, z_f, z_c, leaves, variant="softmax")
-        npt.assert_allclose(a_t.value + a_f.value + a_c.value, np.ones((4, 3)), atol=1e-12)
-
 
 class TestPredict:
     def test_zero_head_uniform(self):
         t = Tape()
         rng = np.random.default_rng(16)
         zt, zf = t.tensor(rng.standard_normal((5, 3))), t.tensor(rng.standard_normal((5, 3)))
-        _, y = M.predict(zt, zf, t.tensor(np.zeros((6, 4))), t.tensor(np.zeros((1, 4))))
+        y = M.predict(zt, zf, t.tensor(np.zeros((6, 4))), t.tensor(np.zeros((1, 4))))
         npt.assert_allclose(y.value, np.full((5, 4), 0.25), atol=1e-15)
 
     def test_rows_sum_to_one_and_shift_invariant_argmax(self):
@@ -245,8 +225,8 @@ class TestPredict:
         w = t.tensor(rng.standard_normal((6, 4)))
         b = t.tensor(rng.standard_normal((1, 4)))
         b_shift = t.tensor(b.value + 7.5)
-        _, y1 = M.predict(zt, zf, w, b)
-        _, y2 = M.predict(zt, zf, w, b_shift)
+        y1 = M.predict(zt, zf, w, b)
+        y2 = M.predict(zt, zf, w, b_shift)
         npt.assert_allclose(y1.value.sum(axis=1), np.ones(5), atol=1e-12)
         npt.assert_array_equal(np.argmax(y1.value, axis=1), np.argmax(y2.value, axis=1))
 
@@ -300,13 +280,6 @@ class TestFullModel:
 
     def test_end_to_end_gradient_check_small(self):
         report = model_gradient_check(n=8, d=4, c=2, hidden=5, seed=3)
-        assert report.passed, str(report)
-
-    def test_softmax_attention_gradient_check(self):
-        from fusegcn.training import TrainConfig
-        cfg = TrainConfig(hidden_dim=5, knn_k=3, train_per_class=2, val_per_class=1,
-                          seed=4, attention_variant="softmax")
-        report = model_gradient_check(n=8, d=4, c=2, hidden=5, seed=4, cfg=cfg)
         assert report.passed, str(report)
 
     def test_mixing_knob_regression_guard(self):

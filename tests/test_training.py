@@ -42,10 +42,6 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(prop_weight=1.2)
-        with pytest.raises(ValueError):
-            TrainConfig(attention_variant="bogus")
-        with pytest.raises(ValueError):
-            TrainConfig(ce_reduction="total")
         # each of these breaks training or early stopping
         for bad in (dict(val_per_class=0), dict(patience=0), dict(hidden_dim=0),
                     dict(lr=-0.05), dict(lr=np.nan), dict(lr=np.inf),
@@ -197,8 +193,7 @@ class TestTrain:
         split = make_split(g, cfg, cfg.seed)
         tape = Tape()
         fs = M.forward_full(tape, params, normalized_adjacency(g), normalized_adjacency(g_f),
-                            g.features, cfg.prop_weight, cfg.common_mix,
-                            cfg.attention_variant, cfg.residual_form)
+                            g.features, cfg.prop_weight, cfg.common_mix)
         val_acc, _ = evaluate(fs.y_hat.value, g.labels, split.val)
         assert val_acc == best_val
 
@@ -228,23 +223,6 @@ class TestNonFiniteLoss:
             with pytest.raises(ValueError, match="non-finite loss at epoch 6: total=nan, "
                                "classification=nan"):
                 train_baseline(g, cfg)
-
-
-class TestLiteralResidualForm:
-    # "literal" drops the propagation term, so the encoder weights never
-    # receive a gradient and Adam must read zeros for them
-    def test_trains_with_finite_losses(self):
-        g, g_f = small_dataset(seed=12)
-        _, trace = train(g, g_f, small_cfg(epochs=2, residual_form="literal"))
-        assert len(trace.records) == 2
-        for r in trace.records:
-            assert np.all(np.isfinite([r.loss_total, r.loss_cl, r.loss_c, r.loss_d]))
-
-    def test_gradient_check_passes(self):
-        cfg = TrainConfig(hidden_dim=5, knn_k=3, train_per_class=2, val_per_class=1,
-                          seed=4, residual_form="literal")
-        report = model_gradient_check(n=8, d=4, c=2, hidden=5, seed=4, cfg=cfg)
-        assert report.passed, str(report)
 
 
 class TestTrainBaseline:
