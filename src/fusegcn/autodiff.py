@@ -1,11 +1,12 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
 A ``Tape`` records one backward closure per operation. ``backward`` replays
-the closures in exact reverse order and consumes them: afterwards the tape
+the closures in exact reverse order and consumes them; a forward-only pass
+ends with ``Tape.discard``, which drops them unrun. Either way the tape then
 holds no node, so reference counting frees a step's arrays as soon as the
-caller drops its nodes, and a second ``backward`` on the same tape is an
+caller drops its nodes, and a later ``backward`` on the same tape is an
 error. All values are 2-D float64 arrays; scalars are (1, 1). A tape is
-single-owner: one step builds and consumes one tape.
+single-owner: one step builds and consumes (or discards) one tape.
 
 Gradients are allocated lazily. A node's first gradient contribution becomes
 its gradient buffer and later ones are added into it, so an operator passing
@@ -85,6 +86,12 @@ class Tape:
     def _record(self, backward_fn):
         self._backward_fns.append(backward_fn)
 
+    def discard(self) -> None:
+        """End a forward-only pass: drop the closures unrun, so the tape holds
+        no node and a later `backward` raises TapeError."""
+        self._used = True
+        self._backward_fns.clear()
+
 
 def _same_tape(*nodes) -> Tape:
     tape = nodes[0].tape
@@ -104,7 +111,7 @@ def backward(tape: Tape, loss: TensorNode) -> None:
     if loss.shape != (1, 1):
         raise ValueError("backward requires a scalar (1, 1) loss node")
     if tape._used:
-        raise TapeError("backward already ran on this tape; build a new tape")
+        raise TapeError("this tape was already consumed or discarded; build a new tape")
     tape._used = True
     loss._grad = np.ones((1, 1))
     fns = tape._backward_fns
@@ -264,39 +271,6 @@ def l2_normalize_rows(a: TensorNode) -> TensorNode:
     def bwd():
         g = out.grad
         a._add_grad((g - (g * y).sum(axis=1, keepdims=True) * y) / r)
-
-    tape._record(bwd)
-    return out
-
-
-def row_gram(a: TensorNode) -> TensorNode:
-    """a @ a.T (pairwise row inner products).
-
-    Training does not use it; with `frobenius_sq_diff` it is the N x N
-    reference form that tests compare `gram_distance_sq` against.
-    """
-    tape = a.tape
-    out = tape.tensor(a.value @ a.value.T)
-
-    def bwd():
-        a._add_grad((out.grad + out.grad.T) @ a.value)
-
-    tape._record(bwd)
-    return out
-
-
-def frobenius_sq_diff(a: TensorNode, b: TensorNode) -> TensorNode:
-    """sum((a - b)^2) as a scalar node."""
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"frobenius_sq_diff shape mismatch: {a.shape} vs {b.shape}")
-    diff = a.value - b.value
-    out = tape.tensor([[np.sum(diff * diff)]])
-
-    def bwd():
-        g = out.grad[0, 0]
-        a._add_grad(2.0 * g * diff)
-        b._add_grad(-2.0 * g * diff)
 
     tape._record(bwd)
     return out

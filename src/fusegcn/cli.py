@@ -137,7 +137,9 @@ def _cmd_eval(args) -> int:
     params = dataio.load_params(args.params, g.features.shape[1], g.n_classes)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     split = make_split(g, cfg, cfg.seed)
-    y_hat = full_objective(g, g_f, cfg, split.train)(params).y_hat.value
+    value = full_objective(g, g_f, cfg, split.train)(params)
+    value.loss.tape.discard()
+    y_hat = value.y_hat.value
     out = {}
     for name, nodes in (("train", split.train), ("val", split.val), ("test", split.test),
                         ("all", np.arange(g.n_nodes))):

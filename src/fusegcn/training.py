@@ -265,9 +265,12 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
         cfg: TrainConfig):
     """Full-batch Adam on `objective`, early-stopped on validation accuracy.
 
-    Updates `params` in place; weight decay skips the biases (`model.is_bias`).
-    Returns (the arrays of the best validation epoch, RunTrace); the trace's
-    final scores come from one more pass with those arrays.
+    Updates `params` in place after every epoch but the last, whether the
+    loop ends at `cfg.epochs` or by patience: that epoch's update could not be
+    kept, so it is forward-only and its tape is discarded unrun. Weight decay
+    skips the biases (`model.is_bias`). Returns (the arrays of the best
+    validation epoch, RunTrace); the trace's final scores come from one more
+    forward-only pass with those arrays.
     """
     bias_names = {name for name in params if M.is_bias(name)}
     state = init_adam_state(params)
@@ -288,14 +291,17 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
             best_val = val_acc
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
-        if epoch - best_epoch >= cfg.patience:
+        if epoch == cfg.epochs or epoch - best_epoch >= cfg.patience:
+            out.loss.tape.discard()
             break
 
         backward(out.loss.tape, out.loss)
         grads = {name: out.leaves[name].grad for name in params}
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay, epoch, bias_names)
 
-    final_acc, final_f1 = evaluate(objective(best_params).y_hat.value, labels, split.test)
+    final = objective(best_params)
+    final.loss.tape.discard()
+    final_acc, final_f1 = evaluate(final.y_hat.value, labels, split.test)
     return best_params, RunTrace(records, best_epoch, final_acc, final_f1)
 
 

@@ -55,9 +55,56 @@ def check_op_gradient(build_loss, values, rel_tol=1e-4):
         assert np.all(np.abs(a - f)[live] / denom[live] < rel_tol)
 
 
+def tapes_left_by(run):
+    """Call `run()` with the cycle collector off; return the Tapes alive after it.
+
+    Reference counting alone must free every tape a pass builds, whether the
+    pass ends in `backward` or in `Tape.discard`.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return [o for o in gc.get_objects() if isinstance(o, Tape)]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def row_gram(a):
+    """a @ a.T as a tape op: the N x N Gram form that `gram_distance_sq` replaces."""
+    tape = a.tape
+    out = tape.tensor(a.value @ a.value.T)
+
+    def bwd():
+        a._add_grad((out.grad + out.grad.T) @ a.value)
+
+    tape._record(bwd)
+    return out
+
+
+def frobenius_sq_diff(a, b):
+    """sum((a - b)^2) as a scalar tape op; with `row_gram`, the reference
+    that `gram_distance_sq` is compared against."""
+    tape = ad._same_tape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"frobenius_sq_diff shape mismatch: {a.shape} vs {b.shape}")
+    diff = a.value - b.value
+    out = tape.tensor([[np.sum(diff * diff)]])
+
+    def bwd():
+        g = out.grad[0, 0]
+        a._add_grad(2.0 * g * diff)
+        b._add_grad(-2.0 * g * diff)
+
+    tape._record(bwd)
+    return out
+
+
 def sum_sq(node):
     zero = node.tape.tensor(np.zeros(node.shape))
-    return ad.frobenius_sq_diff(node, zero)
+    return frobenius_sq_diff(node, zero)
 
 
 class TestForwardValues:
@@ -167,8 +214,8 @@ class TestForwardValues:
     def test_frobenius_sq_diff(self):
         t = Tape()
         a = t.tensor([[3.0]])
-        assert ad.frobenius_sq_diff(a, a).item() == 0.0
-        assert ad.frobenius_sq_diff(a, t.tensor([[1.0]])).item() == 4.0
+        assert frobenius_sq_diff(a, a).item() == 0.0
+        assert frobenius_sq_diff(a, t.tensor([[1.0]])).item() == 4.0
 
     def test_mean_row_cosine_fixtures(self):
         t = Tape()
@@ -182,7 +229,7 @@ class TestForwardValues:
     def test_row_gram(self):
         t = Tape()
         a = t.tensor([[1.0, 0.0], [1.0, 1.0]])
-        npt.assert_array_equal(ad.row_gram(a).value, [[1.0, 1.0], [1.0, 2.0]])
+        npt.assert_array_equal(row_gram(a).value, [[1.0, 1.0], [1.0, 2.0]])
 
 
 class TestMaskedCrossEntropy:
@@ -252,6 +299,33 @@ class TestBackwardMechanics:
                 gc.enable()
         npt.assert_allclose(grads[1], np.full((2, 2), 6.0))
 
+    def test_backward_after_discard_errors(self):
+        t = Tape()
+        a = t.tensor(np.ones((2, 2)))
+        loss = sum_sq(ad.relu(a))
+        t.discard()
+        with pytest.raises(TapeError, match="build a new tape"):
+            backward(t, loss)
+        assert a._grad is None
+
+    def test_discard_frees_the_tape(self):
+        # a forward-only pass: its closures are dropped unrun, and reference
+        # counting alone must free the tape once the caller drops its nodes
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = Tape()
+            a = t.tensor(np.ones((3, 2)))
+            w = t.tensor(np.full((2, 2), 0.5))
+            loss = sum_sq(ad.relu(ad.matmul(a, w)))
+            t.discard()
+            tape_ref = weakref.ref(t)
+            del t, a, w, loss
+            assert tape_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_pass_through_grads_are_not_shared(self):
         # add_row_bias hands its output gradient to `a`, concat_cols hands
         # views of its own to `b` and `d`. `a` and `b` also feed earlier ops,
@@ -266,8 +340,8 @@ class TestBackwardMechanics:
             other = ad.add_scaled(sum_sq(ad.relu(a)), sum_sq(ad.sigmoid(b)), 1.0, 1.0)
             y = ad.add_row_bias(a, bias)
             c = ad.concat_cols(b, d)
-            fit = ad.add_scaled(ad.frobenius_sq_diff(y, tape.tensor(t_y)),
-                                ad.frobenius_sq_diff(c, tape.tensor(t_c)), 1.0, 1.0)
+            fit = ad.add_scaled(frobenius_sq_diff(y, tape.tensor(t_y)),
+                                frobenius_sq_diff(c, tape.tensor(t_c)), 1.0, 1.0)
             return ad.add_scaled(fit, other, 1.0, 1.0), y, c
 
         def f(arrays):
@@ -306,7 +380,7 @@ class TestBackwardMechanics:
             return sum_sq(ad.relu(nodes[0]))
 
         def g_loss(tape, nodes):
-            return ad.frobenius_sq_diff(nodes[0], tape.tensor(np.ones((3, 3))))
+            return frobenius_sq_diff(nodes[0], tape.tensor(np.ones((3, 3))))
 
         def combined(tape, nodes):
             return ad.add_scaled(f_loss(tape, nodes), g_loss(tape, nodes), 1.0, 1.0)
@@ -332,8 +406,8 @@ OP_CASES = {
     "concat_cols": lambda t, ns: sum_sq(ad.concat_cols(ns[0], ns[1])),
     "softmax_rows": lambda t, ns: sum_sq(ad.softmax_rows(ns[0])),
     "l2_normalize_rows": lambda t, ns: sum_sq(ad.l2_normalize_rows(ns[0])),
-    "row_gram": lambda t, ns: sum_sq(ad.row_gram(ns[0])),
-    "frobenius_sq_diff": lambda t, ns: ad.frobenius_sq_diff(ns[0], ns[1]),
+    "row_gram": lambda t, ns: sum_sq(row_gram(ns[0])),
+    "frobenius_sq_diff": lambda t, ns: frobenius_sq_diff(ns[0], ns[1]),
     "gram_distance_sq": lambda t, ns: ad.gram_distance_sq(ns[0], ns[1]),
     "mean_row_cosine": lambda t, ns: ad.mean_row_cosine(ns[0], ns[1]),
     "spmm": None,  # handled separately (needs a sparse operand)
@@ -401,7 +475,7 @@ class TestGramDistanceSq:
     def fused_and_reference(a, b):
         results = []
         for build in (ad.gram_distance_sq,
-                      lambda x, y: ad.frobenius_sq_diff(ad.row_gram(x), ad.row_gram(y))):
+                      lambda x, y: frobenius_sq_diff(row_gram(x), row_gram(y))):
             t = Tape()
             x, y = t.tensor(a), t.tensor(b)
             loss = build(x, y)
@@ -468,7 +542,7 @@ class TestOutputInvariants:
             t = Tape()
             a = rng.standard_normal((3, 3))
             b = a + rng.standard_normal((3, 3)) * (rng.random() > 0.5)
-            val = ad.frobenius_sq_diff(t.tensor(a), t.tensor(b)).item()
+            val = frobenius_sq_diff(t.tensor(a), t.tensor(b)).item()
             assert val >= 0.0
             assert (val == 0.0) == np.array_equal(a, b)
 

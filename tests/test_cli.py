@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fusegcn.cli import cli_dispatch
 from fusegcn.dataio import load_dataset, save_dataset
 from fusegcn.graphs import homophily_ratio
 from fusegcn.heterophily import InjectionBudgetError, SynthSpec, generate_synthetic
+from tests.test_autodiff import tapes_left_by
 from tests.test_graphs import make_graph
 
 
@@ -125,6 +127,22 @@ class TestTrainCommand:
         assert rc == 0
         eval_metrics = json.loads(capsys.readouterr().out)
         assert eval_metrics["test_accuracy"] == pytest.approx(train_metrics["accuracy"])
+
+    def test_eval_leaves_no_tape(self, synth_ds, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "trained"
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        monkeypatch.setattr(sys, "argv", ["fusegcn", "eval", "--data", str(synth_ds),
+                                          "--params", str(out / "params.npz"),
+                                          "--config", str(cfg)])
+
+        def run_eval():
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main()
+            assert exit_info.value.code == 0
+
+        assert tapes_left_by(run_eval) == []
 
     @pytest.mark.parametrize("model, message", [
         ("gcn", "missing input_w1, input_b1, .*; unexpected w0, w1"),

@@ -18,6 +18,7 @@ from fusegcn.heterophily import (
 from fusegcn.losses import LossWeights
 from fusegcn.training import TrainConfig, train
 from fusegcn.graphs import knn_feature_graph
+from tests.test_autodiff import tapes_left_by
 from tests.test_graphs import make_graph
 
 
@@ -381,6 +382,14 @@ class TestSweep:
         _, trace = train(g, g_f, cfg)
         assert rows[0][1] == trace.final_accuracy
         assert rows[0][2] == trace.final_macro_f1
+
+    def test_no_tape_outlives_the_sweep(self):
+        spec = SynthSpec(n_nodes=60, n_classes=2, p_intra=0.04, p_inter=0.004,
+                         n_features=8, seed=21)
+        g = generate_synthetic(spec)
+        g_f = knn_feature_graph(g.features, 3)
+        plan = make_sweep_plan(g, seed=2, n_levels=2)
+        assert tapes_left_by(lambda: heterophily_sweep(g, g_f, plan, tiny_cfg(epochs=3))) == []
 
 
 class TestGenerateSynthetic:

@@ -6,7 +6,7 @@ from fusegcn.graphs import knn_feature_graph, normalized_adjacency
 from fusegcn.heterophily import SynthSpec, generate_synthetic
 from fusegcn.losses import LossWeights
 from fusegcn import model as M
-from fusegcn.autodiff import Tape
+from fusegcn.autodiff import Tape, backward
 from fusegcn import training
 from fusegcn.training import (
     Split,
@@ -20,6 +20,7 @@ from fusegcn.training import (
     train,
     train_baseline,
 )
+from tests.test_autodiff import tapes_left_by
 
 
 def small_dataset(seed=0, n=60, p_intra=0.25, p_inter=0.02):
@@ -204,6 +205,40 @@ class TestTrain:
         # lr=0: no epoch improves on the first, so the loop stops after patience
         assert len(trace.records) == 1 + 3
 
+    @pytest.fixture
+    def backward_calls(self, monkeypatch):
+        calls = []
+
+        def counting_backward(tape, loss):
+            calls.append(tape)
+            backward(tape, loss)
+
+        monkeypatch.setattr(training, "backward", counting_backward)
+        return calls
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_no_backward_on_the_capped_last_epoch(self, backward_calls, baseline):
+        # the last epoch's update could never be returned, so it is not computed
+        g, g_f = small_dataset(seed=9)
+        cfg = small_cfg(epochs=7)
+        _, trace = train_baseline(g, cfg) if baseline else train(g, g_f, cfg)
+        assert len(trace.records) == 7
+        assert len(backward_calls) == 7 - 1
+
+    def test_no_backward_on_the_early_stopping_epoch(self, backward_calls):
+        g, g_f = small_dataset(seed=9)
+        cfg = small_cfg(epochs=40, patience=3, lr=0.0, weight_decay=0.0)
+        _, trace = train(g, g_f, cfg)
+        assert len(trace.records) == 1 + 3
+        assert len(backward_calls) == 1 + 3 - 1
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_no_tape_outlives_training(self, baseline):
+        g, g_f = small_dataset(seed=4)
+        cfg = small_cfg(epochs=6, patience=2)
+        run = (lambda: train_baseline(g, cfg)) if baseline else (lambda: train(g, g_f, cfg))
+        assert tapes_left_by(run) == []
+
     def test_trace_epochs_monotone(self):
         g, g_f = small_dataset(seed=10)
         _, trace = train(g, g_f, small_cfg(epochs=5))
@@ -223,6 +258,15 @@ class TestNonFiniteLoss:
             with pytest.raises(ValueError, match="non-finite loss at epoch 6: total=nan, "
                                "classification=nan"):
                 train_baseline(g, cfg)
+
+    def test_non_finite_last_epoch_still_raises(self):
+        # the epoch that ends the loop runs no backward, but its loss is checked
+        g, g_f = small_dataset(seed=0, n=120)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite loss at epoch 2: total=nan"):
+                train(g, g_f, small_cfg(lr=1e30, epochs=2))
+            with pytest.raises(ValueError, match="non-finite loss at epoch 6: total=nan"):
+                train_baseline(g, small_cfg(lr=1e30, epochs=6))
 
 
 class TestTrainBaseline:
@@ -260,7 +304,7 @@ class TestFinalPass:
         monkeypatch.setattr(training, "evaluate", recording_evaluate)
         _, trace = train_baseline(g, cfg) if baseline else train(g, g_f, cfg)
         assert len(test_preds) == len(trace.records) + 1
-        assert trace.best_epoch < len(trace.records)    # the last update is not kept
+        assert trace.best_epoch < len(trace.records)    # the last epoch makes no update
         best = trace.records[trace.best_epoch - 1]
         assert trace.final_accuracy == best.test_acc
         assert (trace.final_accuracy, trace.final_macro_f1) == \
