@@ -19,7 +19,7 @@ nodes: ``spmm`` takes them as plain scipy CSR matrices and sends gradient to
 its dense node operand only.
 
 ``finite_diff_check`` is the independent gradient oracle: central differences
-against whatever gradients the caller's function reports.
+of a loss-only function against the gradients the caller passes in.
 """
 
 from __future__ import annotations
@@ -394,32 +394,31 @@ class FiniteDiffReport:
         return "\n".join(lines)
 
 
-def finite_diff_check(f, params, eps: float = 1e-5, tolerance: float = 1e-4,
+def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: float = 1e-4,
                       param_names=None) -> FiniteDiffReport:
-    """Compare reported gradients with central finite differences.
+    """Compare `grads` with central finite differences of `loss_fn`.
 
-    `f(params)` must return `(loss_value, grads)` where `grads` aligns with
-    `params` (a list of float64 arrays, perturbed in place and restored).
-    Relative error per coordinate is |fd - g| / max(|fd|, |g|); coordinates
-    where both magnitudes fall below 1e-6 count as matched, since there the
-    difference quotient is dominated by cancellation noise. A non-finite
-    difference quotient or gradient counts as relative error inf.
+    `loss_fn(params)` returns the loss as a float; `params` (float64 arrays,
+    perturbed in place and restored) and `grads` align. Relative error per
+    coordinate is |fd - g| / max(|fd|, |g|); coordinates where both magnitudes
+    fall below 1e-6 count as matched, since there the difference quotient is
+    dominated by cancellation noise. A non-finite difference quotient or
+    gradient counts as relative error inf.
     Raises ValueError unless `eps` is finite and positive.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if param_names is None:
         param_names = [f"param{i}" for i in range(len(params))]
-    _, grads = f(params)
     entries = []
     for p, g, name in zip(params, grads, param_names):
         worst = 0.0
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + eps
-            lp = f(params)[0]
+            lp = loss_fn(params)
             p[idx] = orig - eps
-            lm = f(params)[0]
+            lm = loss_fn(params)
             p[idx] = orig
             fd = (lp - lm) / (2.0 * eps)
             denom = max(abs(fd), abs(g[idx]))

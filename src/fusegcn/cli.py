@@ -17,6 +17,8 @@ from . import dataio
 from .dataio import DatasetError
 from .graphs import homophily_ratio, knn_feature_graph
 from .heterophily import (
+    MAX_SWEEP_LEVEL,
+    SWEEP_LEVELS,
     SynthSpec,
     generate_synthetic,
     heterophily_sweep,
@@ -73,8 +75,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--max-het", type=float, default=0.95)
+    p.add_argument("--levels", type=int, default=SWEEP_LEVELS)
+    p.add_argument("--max-het", type=float, default=MAX_SWEEP_LEVEL)
 
     p = sub.add_parser("synth", help="generate a synthetic block-model dataset")
     p.add_argument("--nodes", type=int, required=True)
@@ -214,14 +216,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    weights = None
-    cfg = None
-    if args.config:
-        cfg, _ = _load_config(args.config, args.seed)
-        weights = cfg.loss_weights
+    cfg = _load_config(args.config, args.seed)[0] if args.config else None
     report = model_gradient_check(n=args.nodes, d=args.dim, c=args.classes,
                                   hidden=args.hidden, seed=args.seed, eps=args.eps,
-                                  tolerance=args.tolerance, weights=weights, cfg=cfg)
+                                  tolerance=args.tolerance, cfg=cfg)
     print(report)
     return 0 if report.passed else 1
 

@@ -40,7 +40,6 @@ class InjectionBudgetError(ValueError):
 class SweepPlan:
     levels: tuple[float, ...]     # target heterophily per step, ascending
     seeds: tuple[int, ...]        # injection seed per step
-    base: Graph
 
     def __post_init__(self):
         lv = np.asarray(self.levels)
@@ -64,7 +63,7 @@ def make_sweep_plan(g: Graph, seed: int = 0, n_levels: int = SWEEP_LEVELS,
         raise ValueError(f"graph heterophily {h_init:.3f} already at or above {max_level}")
     levels = np.linspace(h_init, max_level, n_levels)
     seeds = np.random.SeedSequence(seed).generate_state(n_levels)
-    return SweepPlan(tuple(levels.tolist()), tuple(int(s) for s in seeds), g)
+    return SweepPlan(tuple(levels.tolist()), tuple(int(s) for s in seeds))
 
 
 def required_edges(g: Graph, target_het: float) -> int:

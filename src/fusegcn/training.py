@@ -10,7 +10,7 @@ Both models' parameters are plain dicts of named arrays, so `train` and
 
 Training is full-batch and deterministic per (dataset, config, seed): the
 split, parameter init, and every update follow fixed-order numpy arithmetic.
-Early stopping keeps the parameters of the best validation epoch.
+Early stopping keeps the best validation epoch's parameters and test scores.
 """
 
 from __future__ import annotations
@@ -269,27 +269,27 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
     loop ends at `cfg.epochs` or by patience: that epoch's update could not be
     kept, so it is forward-only and its tape is discarded unrun. Weight decay
     skips the biases (`model.is_bias`). Returns (the arrays of the best
-    validation epoch, RunTrace); the trace's final scores come from one more
-    forward-only pass with those arrays.
+    validation epoch, RunTrace); the trace's final scores are that epoch's
+    test accuracy and macro-F1, as scored in the loop.
     """
     bias_names = {name for name in params if M.is_bias(name)}
     state = init_adam_state(params)
     records = []
     best_val = -1.0
     best_epoch = 0
-    best_params = {k: v.copy() for k, v in params.items()}
     for epoch in range(1, cfg.epochs + 1):
         out = objective(params)
         check_finite_losses(epoch, out.terms)
 
         train_acc, _ = evaluate(out.y_hat.value, labels, split.train)
         val_acc, _ = evaluate(out.y_hat.value, labels, split.val)
-        test_acc, _ = evaluate(out.y_hat.value, labels, split.test)
+        test_acc, test_f1 = evaluate(out.y_hat.value, labels, split.test)
         records.append(EpochRecord(epoch, *out.terms.values(),
                                    train_acc, val_acc, test_acc, *out.attention))
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
+            best_f1 = test_f1
             best_params = {k: v.copy() for k, v in params.items()}
         if epoch == cfg.epochs or epoch - best_epoch >= cfg.patience:
             out.loss.tape.discard()
@@ -299,10 +299,7 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
         grads = {name: out.leaves[name].grad for name in params}
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay, epoch, bias_names)
 
-    final = objective(best_params)
-    final.loss.tape.discard()
-    final_acc, final_f1 = evaluate(final.y_hat.value, labels, split.test)
-    return best_params, RunTrace(records, best_epoch, final_acc, final_f1)
+    return best_params, RunTrace(records, best_epoch, records[best_epoch - 1].test_acc, best_f1)
 
 
 def _split_and_init_rng(g: Graph, cfg: TrainConfig):
@@ -358,27 +355,31 @@ def random_check_instance(n: int = 12, d: int = 5, c: int = 3, seed: int = 0,
 
 def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
                          seed: int = 0, eps: float = 1e-5, tolerance: float = 1e-4,
-                         weights: L.LossWeights | None = None,
                          cfg: TrainConfig | None = None):
     """Finite-difference check of the total-loss gradient w.r.t. every parameter.
 
-    The model options come from `cfg`; the sizes and split are those of the
-    small check instance, and the loss weights are `weights` (all 1 by default).
+    Model options and loss weights come from `cfg` (default: all weights 1),
+    sizes and split from the small check instance. One backward pass gives the
+    gradients; every perturbed evaluation is forward-only.
     """
-    if weights is None:
-        weights = L.LossWeights(1.0, 1.0, 1.0)
-    cfg = replace(cfg or TrainConfig(), hidden_dim=hidden, knn_k=min(3, n - 1),
-                  train_per_class=2, val_per_class=1, seed=seed, loss_weights=weights)
+    if cfg is None:
+        cfg = TrainConfig(loss_weights=L.LossWeights(1.0, 1.0, 1.0))
+    cfg = replace(cfg, hidden_dim=hidden, knn_k=min(3, n - 1),
+                  train_per_class=2, val_per_class=1, seed=seed)
     g = random_check_instance(n, d, c, seed)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     objective = full_objective(g, g_f, cfg, make_split(g, cfg, seed).train)
     params = M.init_params(d, c, hidden, np.random.default_rng(seed + 1))
     names = list(params)
 
-    def f(arrays):
-        out = objective(dict(zip(names, arrays)))
-        backward(out.loss.tape, out.loss)
-        return out.loss.item(), [out.leaves[nm].grad for nm in names]
+    out = objective(params)
+    backward(out.loss.tape, out.loss)
+    grads = [out.leaves[nm].grad for nm in names]
 
-    return finite_diff_check(f, [params[nm] for nm in names], eps, tolerance,
+    def loss_fn(arrays):
+        out = objective(dict(zip(names, arrays)))
+        out.loss.tape.discard()
+        return out.loss.item()
+
+    return finite_diff_check(loss_fn, [params[nm] for nm in names], grads, eps, tolerance,
                              param_names=names)

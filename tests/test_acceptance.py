@@ -131,8 +131,7 @@ def heterophilous_bench():
 
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
-    rep = model_gradient_check(n=12, d=5, c=3, hidden=8, seed=1, eps=1e-5,
-                               tolerance=1e-4, weights=LossWeights(1.0, 1.0, 1.0))
+    rep = model_gradient_check(n=12, d=5, c=3, hidden=8, seed=1, eps=1e-5, tolerance=1e-4)
     elapsed = time.monotonic() - start
     ok = report(1, rep.passed and elapsed < 60.0,
                 f"tape gradient vs central differences: max rel err "

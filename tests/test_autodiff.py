@@ -344,19 +344,20 @@ class TestBackwardMechanics:
                                 frobenius_sq_diff(c, tape.tensor(t_c)), 1.0, 1.0)
             return ad.add_scaled(fit, other, 1.0, 1.0), y, c
 
-        def f(arrays):
+        def loss_fn(arrays):
             tape = Tape()
-            leaves = [tape.tensor(v) for v in arrays]
-            loss, _, _ = build(tape, *leaves)
-            backward(tape, loss)
-            return loss.item(), [n.grad for n in leaves]
+            loss, _, _ = build(tape, *(tape.tensor(v) for v in arrays))
+            tape.discard()
+            return loss.item()
 
-        report = finite_diff_check(f, [a_val, b_val, d_val, bias_val])
+        values = [a_val, b_val, d_val, bias_val]
+        tape = Tape()
+        leaves = [tape.tensor(v) for v in values]
+        loss, y, c = build(tape, *leaves)
+        backward(tape, loss)
+        report = finite_diff_check(loss_fn, values, [n.grad for n in leaves])
         assert report.passed, str(report)
 
-        tape = Tape()
-        loss, y, c = build(tape, *(tape.tensor(v) for v in (a_val, b_val, d_val, bias_val)))
-        backward(tape, loss)
         npt.assert_array_equal(y.grad, 2.0 * (y.value - t_y))
         npt.assert_array_equal(c.grad, 2.0 * (c.value - t_c))
 
@@ -547,14 +548,14 @@ class TestOutputInvariants:
             assert (val == 0.0) == np.array_equal(a, b)
 
 
+def sum_of_squares(params):
+    return float(np.sum(params[0] ** 2))
+
+
 class TestFiniteDiffCheck:
     def test_sum_of_squares_near_exact(self):
-        def f(params):
-            theta = params[0]
-            return float(np.sum(theta * theta)), [2.0 * theta]
-
-        rng = np.random.default_rng(5)
-        report = finite_diff_check(f, [rng.standard_normal((3, 3))])
+        theta = np.random.default_rng(5).standard_normal((3, 3))
+        report = finite_diff_check(sum_of_squares, [theta], [2.0 * theta])
         assert report.passed
         assert report.max_rel_error < 1e-8
 
@@ -562,53 +563,46 @@ class TestFiniteDiffCheck:
         y = np.eye(3)
         mask = np.array([0, 1, 2])
 
-        def f(params):
-            t = Tape()
+        def loss_of(t, params):
             logits = t.tensor(params[0])
-            loss = ad.masked_cross_entropy(ad.softmax_rows(logits), y, mask)
-            backward(t, loss)
-            return loss.item(), [logits.grad]
+            return ad.masked_cross_entropy(ad.softmax_rows(logits), y, mask), logits
 
-        rng = np.random.default_rng(6)
-        report = finite_diff_check(f, [rng.standard_normal((3, 3))])
+        def loss_fn(params):
+            t = Tape()
+            loss, _ = loss_of(t, params)
+            t.discard()
+            return loss.item()
+
+        params = [np.random.default_rng(6).standard_normal((3, 3))]
+        t = Tape()
+        loss, logits = loss_of(t, params)
+        backward(t, loss)
+        report = finite_diff_check(loss_fn, params, [logits.grad])
         assert report.passed
         assert report.max_rel_error < 1e-6
 
     def test_constant_function_passes(self):
-        def f(params):
-            return 42.0, [np.zeros_like(params[0])]
-
-        report = finite_diff_check(f, [np.ones((2, 2))])
+        report = finite_diff_check(lambda params: 42.0, [np.ones((2, 2))], [np.zeros((2, 2))])
         assert report.passed and report.max_rel_error == 0.0
 
     def test_wrong_gradient_fails(self):
-        def f(params):
-            theta = params[0]
-            return float(np.sum(theta * theta)), [3.0 * theta]  # deliberately wrong
-
-        report = finite_diff_check(f, [np.ones((2, 2))])
+        theta = np.ones((2, 2))
+        report = finite_diff_check(sum_of_squares, [theta], [3.0 * theta])  # deliberately wrong
         assert not report.passed
 
     def test_nan_gradient_fails(self):
-        def f(params):
-            return float(np.sum(params[0] ** 2)), [np.full_like(params[0], np.nan)]
-
-        report = finite_diff_check(f, [np.ones((2, 2))])
+        report = finite_diff_check(sum_of_squares, [np.ones((2, 2))], [np.full((2, 2), np.nan)])
         assert not report.passed
         assert report.max_rel_error == np.inf
 
     def test_nan_loss_fails(self):
-        def f(params):
-            return float("nan"), [np.zeros_like(params[0])]
-
-        report = finite_diff_check(f, [np.ones((2, 2))])
+        report = finite_diff_check(lambda params: float("nan"), [np.ones((2, 2))],
+                                   [np.zeros((2, 2))])
         assert not report.passed
         assert report.max_rel_error == np.inf
 
     @pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan, np.inf])
     def test_eps_must_be_finite_and_positive(self, eps):
-        def f(params):
-            return float(np.sum(params[0] ** 2)), [2.0 * params[0]]
-
+        theta = np.ones((2, 2))
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
-            finite_diff_check(f, [np.ones((2, 2))], eps=eps)
+            finite_diff_check(sum_of_squares, [theta], [2.0 * theta], eps=eps)

@@ -339,22 +339,20 @@ class TestSweepPlan:
             make_sweep_plan(g)
 
     def test_plan_validation(self):
-        g = graph_with_counts(10, 2)
         with pytest.raises(ValueError):
-            SweepPlan((0.5, 0.4), (1, 2), g)
+            SweepPlan((0.5, 0.4), (1, 2))
         with pytest.raises(ValueError):
-            SweepPlan((0.5, 0.99), (1, 2), g)
+            SweepPlan((0.5, 0.99), (1, 2))
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):
-            SweepPlan((), (), graph_with_counts(10, 2))
+            SweepPlan((), ())
 
     def test_non_finite_levels_rejected(self):
-        g = graph_with_counts(10, 2)
         with pytest.raises(ValueError, match="levels must be finite"):
-            SweepPlan((0.2, float("nan")), (1, 2), g)
+            SweepPlan((0.2, float("nan")), (1, 2))
         with pytest.raises(ValueError, match="levels must be finite"):
-            make_sweep_plan(g, max_level=float("nan"))
+            make_sweep_plan(graph_with_counts(10, 2), max_level=float("nan"))
 
 
 def tiny_cfg(**kw):

@@ -249,15 +249,21 @@ class TestBaselines:
         params = M.baseline_init(3, 2, 4, rng)
         names = list(params)
 
-        def f(arrays):
-            prm = dict(zip(names, arrays))
-            t = Tape()
+        def loss_of(t, prm):
             y, leaves = M.gcn_baseline_forward(t, p, p @ g.features, prm)
-            loss = classification_loss(y, y_true, mask)
-            backward(t, loss)
-            return loss.item(), [leaves[n].grad for n in names]
+            return classification_loss(y, y_true, mask), leaves
 
-        report = ad.finite_diff_check(f, [params[n] for n in names], param_names=names)
+        def loss_fn(arrays):
+            t = Tape()
+            loss, _ = loss_of(t, dict(zip(names, arrays)))
+            t.discard()
+            return loss.item()
+
+        t = Tape()
+        loss, leaves = loss_of(t, params)
+        backward(t, loss)
+        report = ad.finite_diff_check(loss_fn, [params[n] for n in names],
+                                      [leaves[n].grad for n in names], param_names=names)
         assert report.passed, str(report)
 
 

@@ -14,6 +14,7 @@ from fusegcn.training import (
     adam_step,
     attention_norm_trace,
     evaluate,
+    full_objective,
     init_adam_state,
     make_split,
     model_gradient_check,
@@ -35,6 +36,18 @@ def small_cfg(**kw):
                     loss_weights=LossWeights(1.0, 1e-4, 1e-3))
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+@pytest.fixture
+def backward_calls(monkeypatch):
+    calls = []
+
+    def counting_backward(tape, loss):
+        calls.append(tape)
+        backward(tape, loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    return calls
 
 
 class TestTrainConfig:
@@ -205,17 +218,6 @@ class TestTrain:
         # lr=0: no epoch improves on the first, so the loop stops after patience
         assert len(trace.records) == 1 + 3
 
-    @pytest.fixture
-    def backward_calls(self, monkeypatch):
-        calls = []
-
-        def counting_backward(tape, loss):
-            calls.append(tape)
-            backward(tape, loss)
-
-        monkeypatch.setattr(training, "backward", counting_backward)
-        return calls
-
     @pytest.mark.parametrize("baseline", [False, True])
     def test_no_backward_on_the_capped_last_epoch(self, backward_calls, baseline):
         # the last epoch's update could never be returned, so it is not computed
@@ -287,8 +289,8 @@ class TestTrainBaseline:
 
 
 class TestFinalPass:
-    # the final pass re-runs the forward pass with the best epoch's parameters,
-    # so it must score exactly what that epoch's predictions scored
+    # the final scores are the best epoch's, scored in the loop: the test set
+    # is scored once per epoch and no pass runs after the loop
     @pytest.mark.parametrize("baseline", [False, True])
     def test_final_scores_equal_best_epoch(self, monkeypatch, baseline):
         g, g_f = small_dataset(seed=21)
@@ -303,9 +305,30 @@ class TestFinalPass:
 
         monkeypatch.setattr(training, "evaluate", recording_evaluate)
         _, trace = train_baseline(g, cfg) if baseline else train(g, g_f, cfg)
-        assert len(test_preds) == len(trace.records) + 1
+        assert len(test_preds) == len(trace.records)
         assert trace.best_epoch < len(trace.records)    # the last epoch makes no update
         best = trace.records[trace.best_epoch - 1]
         assert trace.final_accuracy == best.test_acc
         assert (trace.final_accuracy, trace.final_macro_f1) == \
             evaluate(test_preds[trace.best_epoch - 1], g.labels, split.test)
+
+
+class TestModelGradientCheck:
+    def test_one_backward_pass(self, backward_calls):
+        # every perturbed evaluation is forward-only
+        report = model_gradient_check(8, 3, 2, 4, 1)
+        assert report.passed, str(report)
+        assert len(backward_calls) == 1
+
+    def test_loss_weights_come_from_the_config(self, monkeypatch):
+        seen = []
+
+        def recording_objective(g, g_f, cfg, train_nodes):
+            seen.append(cfg.loss_weights)
+            return full_objective(g, g_f, cfg, train_nodes)
+
+        monkeypatch.setattr(training, "full_objective", recording_objective)
+        weights = LossWeights(2.0, 0.5, 0.25)
+        model_gradient_check(8, 2, 2, 2, 0)
+        model_gradient_check(8, 2, 2, 2, 0, cfg=TrainConfig(loss_weights=weights))
+        assert seen == [LossWeights(1.0, 1.0, 1.0), weights]
