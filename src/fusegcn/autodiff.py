@@ -18,6 +18,9 @@ Constant operands (the sparse adjacency, the sparse feature matrix) are not
 nodes: ``spmm`` takes them as plain scipy CSR matrices and sends gradient to
 its dense node operand only.
 
+The classification loss is one operator on the logits, ``softmax_cross_entropy``;
+no probability is formed or clamped before its log.
+
 ``finite_diff_check`` is the independent gradient oracle: central differences
 of a loss-only function against the gradients the caller passes in.
 """
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-PROB_FLOOR = 1e-12  # cross-entropy clamp; log is undefined at exact zeros
 
 
 class TapeError(RuntimeError):
@@ -244,21 +245,6 @@ def concat_cols(a: TensorNode, b: TensorNode) -> TensorNode:
     return out
 
 
-def softmax_rows(a: TensorNode) -> TensorNode:
-    tape = a.tape
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = tape.tensor(s)
-
-    def bwd():
-        g = out.grad
-        a._add_grad(s * (g - (g * s).sum(axis=1, keepdims=True)))
-
-    tape._record(bwd)
-    return out
-
-
 def l2_normalize_rows(a: TensorNode) -> TensorNode:
     tape = a.tape
     r = np.linalg.norm(a.value, axis=1, keepdims=True)
@@ -335,32 +321,30 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     return out
 
 
-def masked_cross_entropy(pred: TensorNode, y_onehot: np.ndarray, mask: np.ndarray) -> TensorNode:
-    """-sum_{v in mask} sum_c Y_vc ln pred_vc.
+def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
+                          mask: np.ndarray) -> TensorNode:
+    """-sum_{v in mask} sum_c Y_vc log softmax(logits)_vc, with one-hot rows Y.
 
-    `pred` rows must sum to 1 within 1e-6. Probabilities are clamped to
-    [PROB_FLOOR, 1] before the log.
+    The log-softmax is the logits minus the row max minus its log-sum-exp, so a
+    confidently wrong row keeps its loss and its gradient g * (softmax - Y).
     """
-    tape = pred.tape
+    tape = logits.tape
     y = np.asarray(y_onehot, dtype=np.float64)
-    if y.shape != pred.shape:
-        raise ValueError(f"one-hot labels shape {y.shape} does not match predictions {pred.shape}")
+    if y.shape != logits.shape:
+        raise ValueError(f"one-hot labels shape {y.shape} does not match logits {logits.shape}")
     mask = np.asarray(mask, dtype=np.int64).ravel()
     if mask.size == 0:
         raise ValueError("cross-entropy mask is empty")
-    row_sums = pred.value.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise ValueError("prediction rows must sum to 1 within 1e-6")
-    in_mask = np.zeros((pred.shape[0], 1))
+    in_mask = np.zeros((logits.shape[0], 1))
     in_mask[mask] = 1.0
-    p = np.clip(pred.value, PROB_FLOOR, 1.0)
-    loss = -np.sum(in_mask * y * np.log(p))
+    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    row_sums = e.sum(axis=1, keepdims=True)
+    loss = -np.sum(in_mask * y * (shifted - np.log(row_sums)))
     out = tape.tensor([[loss]])
 
     def bwd():
-        g = out.grad[0, 0]
-        active = pred.value >= PROB_FLOOR
-        pred._add_grad(-(g * in_mask * y * active / p))
+        logits._add_grad(out.grad[0, 0] * in_mask * (e / row_sums - y))
 
     tape._record(bwd)
     return out
@@ -375,6 +359,15 @@ class FiniteDiffEntry:
     name: str
     max_rel_error: float
     n_coords: int
+    worst_index: tuple | None = None   # coordinate of max_rel_error; None if all matched
+    worst_fd: float = 0.0              # its difference quotient
+    worst_grad: float = 0.0            # and the gradient it was compared with
+
+    def __str__(self):
+        at = "" if self.worst_index is None else \
+            f" at {self.worst_index} fd={self.worst_fd:.6e} grad={self.worst_grad:.6e}"
+        return (f"{self.name:<16s} coords={self.n_coords:<6d} "
+                f"max_rel_error={self.max_rel_error:.3e}{at}")
 
 
 @dataclass
@@ -386,8 +379,7 @@ class FiniteDiffReport:
     passed: bool
 
     def __str__(self):
-        lines = [f"{e.name:<16s} coords={e.n_coords:<6d} max_rel_error={e.max_rel_error:.3e}"
-                 for e in self.entries]
+        lines = [str(e) for e in self.entries]
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"overall max_rel_error={self.max_rel_error:.3e} "
                      f"tolerance={self.tolerance:.1e} -> {verdict}")
@@ -403,7 +395,7 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
     coordinate is |fd - g| / max(|fd|, |g|); coordinates where both magnitudes
     fall below 1e-6 count as matched, since there the difference quotient is
     dominated by cancellation noise. A non-finite difference quotient or
-    gradient counts as relative error inf.
+    gradient counts as relative error inf. Each entry names its worst coordinate.
     Raises ValueError unless `eps` is finite and positive.
     """
     if not (np.isfinite(eps) and eps > 0):
@@ -412,7 +404,7 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
         param_names = [f"param{i}" for i in range(len(params))]
     entries = []
     for p, g, name in zip(params, grads, param_names):
-        worst = 0.0
+        entry = FiniteDiffEntry(name, 0.0, int(np.prod(p.shape)))
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + eps
@@ -423,9 +415,14 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
             fd = (lp - lm) / (2.0 * eps)
             denom = max(abs(fd), abs(g[idx]))
             if not (np.isfinite(fd) and np.isfinite(g[idx])):
-                worst = np.inf
+                err = np.inf
             elif denom >= 1e-6:
-                worst = max(worst, abs(fd - g[idx]) / denom)
-        entries.append(FiniteDiffEntry(name, worst, int(np.prod(p.shape))))
+                err = abs(fd - g[idx]) / denom
+            else:
+                continue
+            if entry.worst_index is None or err > entry.max_rel_error:
+                entry.max_rel_error, entry.worst_index = err, idx
+                entry.worst_fd, entry.worst_grad = fd, g[idx]
+        entries.append(entry)
     overall = max((e.max_rel_error for e in entries), default=0.0)
     return FiniteDiffReport(entries, overall, eps, tolerance, overall <= tolerance)

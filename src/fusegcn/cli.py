@@ -141,11 +141,10 @@ def _cmd_eval(args) -> int:
     split = make_split(g, cfg, cfg.seed)
     value = full_objective(g, g_f, cfg, split.train)(params)
     value.loss.tape.discard()
-    y_hat = value.y_hat.value
     out = {}
     for name, nodes in (("train", split.train), ("val", split.val), ("test", split.test),
                         ("all", np.arange(g.n_nodes))):
-        acc, f1 = evaluate(y_hat, g.labels, nodes)
+        acc, f1 = evaluate(value.logits.value, g.labels, nodes)
         out[f"{name}_accuracy"] = acc
         out[f"{name}_macro_f1"] = f1
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -210,8 +209,8 @@ def _cmd_synth(args) -> int:
         raise DatasetError(f"synth: {e}") from None
     g = generate_synthetic(spec)
     dataio.save_dataset(g, args.out)
-    print(f"saved synthetic dataset ({g.n_nodes} nodes, {g.n_edges} edges, "
-          f"homophily {homophily_ratio(g):.4f}) to {args.out}")
+    het = f", homophily {homophily_ratio(g):.4f}" if g.n_edges else ""  # undefined without edges
+    print(f"saved synthetic dataset ({g.n_nodes} nodes, {g.n_edges} edges{het}) to {args.out}")
     return 0
 
 

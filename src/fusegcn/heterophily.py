@@ -71,8 +71,8 @@ def required_edges(g: Graph, target_het: float) -> int:
 
     Solves (E_het + K) / (|E| + K) >= target for integer K.
     """
-    if not target_het < 1.0:
-        raise ValueError("target heterophily must be below 1")
+    if not (np.isfinite(target_het) and target_het < 1.0):
+        raise ValueError(f"target heterophily must be finite and below 1, got {target_het}")
     if g.labels is None:
         raise ValueError("heterophily targets require labels")
     m = g.n_edges
@@ -277,8 +277,10 @@ class SynthSpec:
     def __post_init__(self):
         if not (0.0 <= self.p_intra <= 1.0 and 0.0 <= self.p_inter <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
-        if self.n_classes < 1:
-            raise ValueError("need at least one class")
+        if self.n_classes < 1 or self.n_features < 1:
+            raise ValueError("need at least one class and one feature")
+        if not np.isfinite([self.mean_separation, self.noise_scale]).all():
+            raise ValueError("mean separation and noise scale must be finite")
         if self.class_sizes is not None:
             if len(self.class_sizes) != self.n_classes:
                 raise ValueError("one size per class required")
@@ -312,5 +314,8 @@ def generate_synthetic(spec: SynthSpec) -> Graph:
     else:
         dirs = rng.standard_normal((c, d))
         means = spec.mean_separation * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    x = means[labels] + spec.noise_scale * rng.standard_normal((spec.n_nodes, d))
+    with np.errstate(over="ignore"):
+        x = means[labels] + spec.noise_scale * rng.standard_normal((spec.n_nodes, d))
+    if not np.isfinite(x).all():
+        raise ValueError("features overflow float64: lower the mean separation or noise scale")
     return Graph(spec.n_nodes, edges, x, labels)

@@ -5,8 +5,8 @@ two row-normalized common-encoder outputs, pulling the shared views
 together. It is computed in O(N h^2) by `autodiff.gram_distance_sq`,
 without forming either N x N Gram matrix. disparity: negative mean
 row-wise cosine between each view embedding and its common counterpart,
-pushing them apart. classification: masked cross-entropy over the training
-nodes.
+pushing them apart. classification: softmax cross-entropy of the class
+logits, summed over the training nodes (`autodiff.softmax_cross_entropy`).
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def disparity_loss(z_t, z_ct, z_f, z_cf):
     return ad.add_scaled(m_t, m_f, -1.0, -1.0)
 
 
-def classification_loss(y_hat, y_onehot: np.ndarray, train_mask: np.ndarray):
-    return ad.masked_cross_entropy(y_hat, y_onehot, train_mask)
+def classification_loss(logits, y_onehot: np.ndarray, train_mask: np.ndarray):
+    return ad.softmax_cross_entropy(logits, y_onehot, train_mask)
 
 
 def total_loss(l_cl, l_c, l_d, weights: LossWeights):

@@ -4,7 +4,7 @@ Both views start from the same MLP-lifted representation of the raw features.
 A two-layer residual GCN encodes each view on its own graph; a third encoder
 with one shared weight set runs on both graphs and its two outputs combine
 into a common embedding. Feature-level attention gates the fusion, and a
-linear head over the concatenated fused views yields class probabilities.
+linear head over the concatenated fused views yields the class logits.
 
 Plain two-layer GCN baselines (topology graph / kNN feature graph) live here
 as well. Either model's parameters are a plain dict of named arrays
@@ -73,7 +73,7 @@ class ForwardState:
     att_t: TensorNode
     att_f: TensorNode
     att_c: TensorNode
-    y_hat: TensorNode
+    logits: TensorNode
     leaves: dict[str, TensorNode]
 
 
@@ -140,9 +140,8 @@ def attention_fuse(z_t, z_f, z_c, leaves):
 
 
 def predict(z_tilde_t, z_tilde_f, w, b):
-    """Row-softmax over the linear head on the concatenated fused views."""
-    z_hat = ad.concat_cols(z_tilde_t, z_tilde_f)
-    return ad.softmax_rows(ad.add_row_bias(ad.matmul(z_hat, w), b))
+    """Class logits: the linear head on the concatenated fused views."""
+    return ad.add_row_bias(ad.matmul(ad.concat_cols(z_tilde_t, z_tilde_f), w), b)
 
 
 def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p_f: sp.csr_array,
@@ -162,8 +161,8 @@ def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p
                                      leaves["common_w0"], leaves["common_w1"], leaves,
                                      common_mix, prop_weight)
     z_tilde_t, z_tilde_f, att_t, att_f, att_c = attention_fuse(z_t, z_f, z_c, leaves)
-    y_hat = predict(z_tilde_t, z_tilde_f, leaves["out_w"], leaves["out_b"])
-    return ForwardState(z_t, z_f, z_ct, z_cf, att_t, att_f, att_c, y_hat, leaves)
+    logits = predict(z_tilde_t, z_tilde_f, leaves["out_w"], leaves["out_b"])
+    return ForwardState(z_t, z_f, z_ct, z_cf, att_t, att_f, att_c, logits, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def baseline_init(n_features: int, n_classes: int, hidden: int, rng) -> dict[str
 
 def gcn_baseline_forward(tape: Tape, p: sp.csr_array, px: sp.csr_array,
                          params: dict[str, np.ndarray]):
-    """Two-layer GCN, no residual: softmax(P relu(P X W0) W1).
+    """Two-layer GCN, no residual: the logits P relu(P X W0) W1, and the leaves.
 
     Used for both baselines; pass the topology adjacency or the kNN feature
     graph adjacency as `p`, and the constant product `px` = P X of it with the
@@ -185,5 +184,4 @@ def gcn_baseline_forward(tape: Tape, p: sp.csr_array, px: sp.csr_array,
     """
     leaves = {name: tape.tensor(arr) for name, arr in params.items()}
     h1 = ad.relu(ad.spmm(px, leaves["w0"]))
-    y_hat = ad.softmax_rows(ad.matmul(ad.spmm(p, h1), leaves["w1"]))
-    return y_hat, leaves
+    return ad.matmul(ad.spmm(p, h1), leaves["w1"]), leaves

@@ -135,8 +135,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 # metrics
 # ---------------------------------------------------------------------------
 
-def evaluate(y_hat: np.ndarray, labels: np.ndarray, node_set: np.ndarray):
-    """(accuracy, macro-F1) over `node_set`.
+def evaluate(logits: np.ndarray, labels: np.ndarray, node_set: np.ndarray):
+    """(accuracy, macro-F1) over `node_set`, predicting each row's argmax.
 
     Macro-F1 averages per-class F1 over classes that have true members in
     the node set, plus classes predicted there without true members (those
@@ -144,7 +144,7 @@ def evaluate(y_hat: np.ndarray, labels: np.ndarray, node_set: np.ndarray):
     denominators give F1 = 0.
     """
     node_set = np.asarray(node_set)
-    pred = np.argmax(y_hat[node_set], axis=1)
+    pred = np.argmax(logits[node_set], axis=1)
     true = labels[node_set]
     accuracy = float(np.mean(pred == true))
     classes = np.union1d(np.unique(true), np.unique(pred))
@@ -210,7 +210,7 @@ class ObjectiveValue(NamedTuple):
 
     loss: TensorNode
     terms: dict[str, float]       # total, classification, closeness, disparity
-    y_hat: TensorNode
+    logits: TensorNode
     attention: tuple[float, float, float]
     leaves: dict[str, TensorNode]
 
@@ -228,14 +228,14 @@ def full_objective(g: Graph, g_f: Graph, cfg: TrainConfig, train_nodes: np.ndarr
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
         fs = M.forward_full(Tape(), arrays, p_t, p_f, x, cfg.prop_weight, cfg.common_mix)
-        l_cl = L.classification_loss(fs.y_hat, y, train_nodes)
+        l_cl = L.classification_loss(fs.logits, y, train_nodes)
         l_c = L.closeness_loss(fs.z_ct, fs.z_cf)
         l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
         l_total = L.total_loss(l_cl, l_c, l_d, cfg.loss_weights)
         terms = {"total": l_total.item(), "classification": l_cl.item(),
                  "closeness": l_c.item(), "disparity": l_d.item()}
         attn = attention_norm_trace(fs.att_t.value, fs.att_f.value, fs.att_c.value)
-        return ObjectiveValue(l_total, terms, fs.y_hat, attn, fs.leaves)
+        return ObjectiveValue(l_total, terms, fs.logits, attn, fs.leaves)
 
     return objective
 
@@ -251,12 +251,12 @@ def baseline_objective(g: Graph, prop_graph: Graph, cfg: TrainConfig,
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
-        y_hat, leaves = M.gcn_baseline_forward(Tape(), p, px, arrays)
-        l_cl = L.classification_loss(y_hat, y, train_nodes)
+        logits, leaves = M.gcn_baseline_forward(Tape(), p, px, arrays)
+        l_cl = L.classification_loss(logits, y, train_nodes)
         loss = ad.scale(l_cl, cfg.loss_weights.classification)
         terms = {"total": loss.item(), "classification": l_cl.item(),
                  "closeness": 0.0, "disparity": 0.0}
-        return ObjectiveValue(loss, terms, y_hat, (0.0, 0.0, 0.0), leaves)
+        return ObjectiveValue(loss, terms, logits, (0.0, 0.0, 0.0), leaves)
 
     return objective
 
@@ -281,9 +281,9 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
         out = objective(params)
         check_finite_losses(epoch, out.terms)
 
-        train_acc, _ = evaluate(out.y_hat.value, labels, split.train)
-        val_acc, _ = evaluate(out.y_hat.value, labels, split.val)
-        test_acc, test_f1 = evaluate(out.y_hat.value, labels, split.test)
+        train_acc, _ = evaluate(out.logits.value, labels, split.train)
+        val_acc, _ = evaluate(out.logits.value, labels, split.val)
+        test_acc, test_f1 = evaluate(out.logits.value, labels, split.test)
         records.append(EpochRecord(epoch, *out.terms.values(),
                                    train_acc, val_acc, test_acc, *out.attention))
         if val_acc > best_val:

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -107,6 +108,58 @@ def sum_sq(node):
     return frobenius_sq_diff(node, zero)
 
 
+PROB_FLOOR = 1e-12
+
+
+def softmax_rows(a):
+    """Row softmax as a tape op; with `masked_cross_entropy`, the two-op form
+    that `softmax_cross_entropy` replaces."""
+    tape = a.tape
+    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=1, keepdims=True)
+    out = tape.tensor(s)
+
+    def bwd():
+        g = out.grad
+        a._add_grad(s * (g - (g * s).sum(axis=1, keepdims=True)))
+
+    tape._record(bwd)
+    return out
+
+
+def masked_cross_entropy(pred, y_onehot, mask):
+    """-sum_{v in mask} sum_c Y_vc ln pred_vc on probabilities clamped to
+    [PROB_FLOOR, 1]: a row whose true-class probability falls below the floor
+    gets a capped loss and a zero gradient."""
+    tape = pred.tape
+    in_mask = np.zeros((pred.shape[0], 1))
+    in_mask[mask] = 1.0
+    p = np.clip(pred.value, PROB_FLOOR, 1.0)
+    out = tape.tensor([[-np.sum(in_mask * y_onehot * np.log(p))]])
+
+    def bwd():
+        g = out.grad[0, 0]
+        active = pred.value >= PROB_FLOOR
+        pred._add_grad(-(g * in_mask * y_onehot * active / p))
+
+    tape._record(bwd)
+    return out
+
+
+def cross_entropy_of(build, logits, y, mask):
+    """(loss, logits gradient) of `build(logits_node, y, mask)` on a fresh tape."""
+    t = Tape()
+    x = t.tensor(logits)
+    loss = build(x, y, mask)
+    backward(t, loss)
+    return loss.item(), x.grad
+
+
+def two_op_cross_entropy(x, y, mask):
+    return masked_cross_entropy(softmax_rows(x), y, mask)
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         t = Tape()
@@ -191,18 +244,25 @@ class TestForwardValues:
         npt.assert_allclose(a.grad, 2 * a.value)
 
     def test_softmax_uniform_and_shift(self):
-        t = Tape()
-        npt.assert_allclose(ad.softmax_rows(t.tensor(np.zeros((1, 4)))).value,
-                            np.full((1, 4), 0.25), atol=1e-15)
-        a = t.tensor([[0.3, -1.2, 2.0]])
-        b = t.tensor([[0.3 + 5.0, -1.2 + 5.0, 2.0 + 5.0]])
-        npt.assert_allclose(ad.softmax_rows(a).value, ad.softmax_rows(b).value, atol=1e-14)
+        y = np.eye(4)[[2]]
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((1, 4)), y, [0])
+        assert loss == pytest.approx(np.log(4), rel=1e-15)
+        npt.assert_allclose(grad, np.full((1, 4), 0.25) - y, atol=1e-15)
+        row = np.array([[0.3, -1.2, 2.0]])
+        y = np.eye(3)[[1]]
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, row, y, [0])
+        loss_s, grad_s = cross_entropy_of(ad.softmax_cross_entropy, row + 5.0, y, [0])
+        assert loss_s == pytest.approx(loss, rel=1e-14)
+        npt.assert_allclose(grad_s, grad, atol=1e-14)
 
     def test_softmax_log_ratios(self):
-        t = Tape()
+        # logits log(1), log(2), log(3): softmax 1/6, 2/6, 3/6
         row = np.log([[1.0, 2.0, 3.0]])
-        npt.assert_allclose(ad.softmax_rows(t.tensor(row)).value,
-                            [[1 / 6, 2 / 6, 3 / 6]], rtol=1e-14)
+        for k in range(3):
+            y = np.eye(3)[[k]]
+            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, row, y, [0])
+            assert loss == pytest.approx(-np.log((k + 1) / 6), rel=1e-14)
+            npt.assert_allclose(grad + y, [[1 / 6, 2 / 6, 3 / 6]], rtol=1e-14)
 
     def test_l2_normalize(self):
         t = Tape()
@@ -232,37 +292,60 @@ class TestForwardValues:
         npt.assert_array_equal(row_gram(a).value, [[1.0, 1.0], [1.0, 2.0]])
 
 
-class TestMaskedCrossEntropy:
+class TestSoftmaxCrossEntropy:
     def test_perfect_prediction_near_zero(self):
-        t = Tape()
-        y = np.eye(3)
-        pred = t.tensor(np.clip(y, 1e-9, 1.0) / np.clip(y, 1e-9, 1.0).sum(1, keepdims=True))
-        loss = ad.masked_cross_entropy(pred, y, np.array([0, 1, 2]))
-        assert loss.item() == pytest.approx(0.0, abs=1e-7)
+        # log(1 + 2 e^-40) per row
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, 40.0 * np.eye(3), np.eye(3),
+                                      [0, 1, 2])
+        assert loss == pytest.approx(0.0, abs=1e-16)
+        npt.assert_allclose(grad, 0.0, atol=1e-16)
 
     def test_uniform_single_node(self):
-        t = Tape()
         c = 5
-        pred = t.tensor(np.full((3, c), 1.0 / c))
         y = np.eye(c)[[0, 1, 2]]
-        loss = ad.masked_cross_entropy(pred, y, np.array([1]))
-        assert loss.item() == pytest.approx(np.log(c))
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((3, c)), y, [1])
+        assert loss == pytest.approx(np.log(c))
+        npt.assert_array_equal(grad[[0, 2]], 0.0)
 
     def test_two_nodes_uniform_c4(self):
-        t = Tape()
-        pred = t.tensor(np.full((4, 4), 0.25))
-        y = np.eye(4)
-        loss = ad.masked_cross_entropy(pred, y, np.array([0, 2]))
-        assert loss.item() == pytest.approx(2 * np.log(4))
+        loss, _ = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((4, 4)), np.eye(4),
+                                   [0, 2])
+        assert loss == pytest.approx(2 * np.log(4))
 
     def test_preconditions(self):
         t = Tape()
-        bad = t.tensor(np.full((2, 3), 0.5))
-        with pytest.raises(ValueError, match="sum to 1"):
-            ad.masked_cross_entropy(bad, np.eye(3)[:2], np.array([0]))
-        ok = t.tensor(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="does not match logits"):
+            ad.softmax_cross_entropy(t.tensor(np.zeros((2, 3))), np.eye(3), np.array([0]))
         with pytest.raises(ValueError, match="empty"):
-            ad.masked_cross_entropy(ok, np.eye(2), np.array([], dtype=int))
+            ad.softmax_cross_entropy(t.tensor(np.zeros((2, 2))), np.eye(2),
+                                     np.array([], dtype=int))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_two_op_form(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n, c = int(rng.integers(1, 30)), int(rng.integers(2, 8))
+        logits = 3.0 * rng.standard_normal((n, c))
+        y = np.eye(c)[rng.integers(c, size=n)]
+        mask = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, y, mask)
+        loss_ref, grad_ref = cross_entropy_of(two_op_cross_entropy, logits, y, mask)
+        assert loss == pytest.approx(loss_ref, rel=1e-12)
+        npt.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-15)
+
+    def test_confidently_wrong_row_keeps_loss_and_gradient(self):
+        # row 0 has gap 40: its true-class probability e^-40 / (1 + e^-40) is
+        # below the two-op form's 1e-12 floor, which caps that row's loss at
+        # -log(1e-12) and zeroes its gradient; row 1 is ordinary. Totals:
+        # 40.31 fused, 27.94 for the two-op form.
+        logits, y = np.array([[40.0, 0.0], [1.0, 0.0]]), np.eye(2)[[1, 0]]
+        row1 = np.log1p(np.exp(-1.0))
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, y, [0, 1])
+        assert loss == pytest.approx(40.0 + row1, rel=1e-15)
+        npt.assert_allclose(grad[0], [1.0, -1.0], atol=1e-15)
+        loss_ref, grad_ref = cross_entropy_of(two_op_cross_entropy, logits, y, [0, 1])
+        assert loss_ref == pytest.approx(-np.log(PROB_FLOOR) + row1, rel=1e-12)
+        npt.assert_array_equal(grad_ref[0], 0.0)
+        npt.assert_allclose(grad[1], grad_ref[1], rtol=1e-14)
 
 
 class TestBackwardMechanics:
@@ -405,17 +488,31 @@ OP_CASES = {
     "add_row_bias": lambda t, ns: sum_sq(ad.add_row_bias(ns[0], ns[1])),
     "hadamard": lambda t, ns: sum_sq(ad.hadamard(ns[0], ns[1])),
     "concat_cols": lambda t, ns: sum_sq(ad.concat_cols(ns[0], ns[1])),
-    "softmax_rows": lambda t, ns: sum_sq(ad.softmax_rows(ns[0])),
+    "softmax_rows": lambda t, ns: sum_sq(softmax_rows(ns[0])),
     "l2_normalize_rows": lambda t, ns: sum_sq(ad.l2_normalize_rows(ns[0])),
     "row_gram": lambda t, ns: sum_sq(row_gram(ns[0])),
     "frobenius_sq_diff": lambda t, ns: frobenius_sq_diff(ns[0], ns[1]),
     "gram_distance_sq": lambda t, ns: ad.gram_distance_sq(ns[0], ns[1]),
     "mean_row_cosine": lambda t, ns: ad.mean_row_cosine(ns[0], ns[1]),
     "spmm": None,  # handled separately (needs a sparse operand)
-    "masked_cross_entropy": lambda t, ns: ad.masked_cross_entropy(
-        ad.softmax_rows(ns[0]), np.eye(ns[0].shape[1])[np.arange(ns[0].shape[0]) % ns[0].shape[1]],
-        np.arange(ns[0].shape[0])),
+    "masked_cross_entropy": lambda t, ns: two_op_cross_entropy(ns[0], *cyclic_labels(ns[0])),
+    "softmax_cross_entropy": lambda t, ns: ad.softmax_cross_entropy(ns[0],
+                                                                    *cyclic_labels(ns[0])),
 }
+
+
+def cyclic_labels(logits):
+    """One-hot labels v mod C and a mask of every other row, for the loss cases."""
+    n, c = logits.shape
+    return np.eye(c)[np.arange(n) % c], np.arange(0, n, 2)
+
+
+def test_every_tape_operator_has_a_gradient_case():
+    recording = {name for name, f in vars(ad).items()
+                 if inspect.isfunction(f) and f.__module__ == ad.__name__
+                 and not name.startswith("_") and "._record(" in inspect.getsource(f)}
+    assert {"matmul", "spmm", "softmax_cross_entropy"} <= recording
+    assert recording - set(OP_CASES) == set()
 
 
 def build_values(name, rng):
@@ -437,7 +534,7 @@ def build_values(name, rng):
         a = rng.standard_normal((r, c)) + np.sign(rng.standard_normal((r, c))) * 0.5
         b = rng.standard_normal((r, c)) + np.sign(rng.standard_normal((r, c))) * 0.5
         return [a, b][: 2 if name == "mean_row_cosine" else 1]
-    if name == "masked_cross_entropy":
+    if name in ("masked_cross_entropy", "softmax_cross_entropy"):
         return [rng.standard_normal((int(rng.integers(2, 7)), int(rng.integers(2, 5))))]
     return [rng.standard_normal((r, c))]
 
@@ -523,12 +620,16 @@ class TestGramDistanceSq:
 
 class TestOutputInvariants:
     def test_softmax_rows_sum_and_range(self):
+        # a masked row's gradient is softmax - Y; unmasked rows get none
         rng = np.random.default_rng(2)
         for _ in range(20):
-            t = Tape()
-            out = ad.softmax_rows(t.tensor(rng.standard_normal((5, 6)) * 3)).value
-            npt.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
+            y = np.eye(6)[rng.integers(6, size=5)]
+            _, grad = cross_entropy_of(ad.softmax_cross_entropy,
+                                       rng.standard_normal((5, 6)) * 3, y, [0, 1, 3])
+            out = (grad + y)[[0, 1, 3]]
+            npt.assert_allclose(out.sum(axis=1), np.ones(3), atol=1e-12)
             assert np.all(out > 0) and np.all(out < 1)
+            npt.assert_array_equal(grad[[2, 4]], 0.0)
 
     def test_l2_normalize_unit_norms(self):
         rng = np.random.default_rng(3)
@@ -565,7 +666,7 @@ class TestFiniteDiffCheck:
 
         def loss_of(t, params):
             logits = t.tensor(params[0])
-            return ad.masked_cross_entropy(ad.softmax_rows(logits), y, mask), logits
+            return ad.softmax_cross_entropy(logits, y, mask), logits
 
         def loss_fn(params):
             t = Tape()
@@ -581,9 +682,37 @@ class TestFiniteDiffCheck:
         assert report.passed
         assert report.max_rel_error < 1e-6
 
+    def test_entry_names_worst_coordinate(self):
+        theta = np.array([[1.0, -2.0], [0.5, 3.0]])
+        grad = 2.0 * theta
+        grad[1, 0] = 4.0    # the true gradient there is 1.0
+        report = finite_diff_check(sum_of_squares, [theta], [grad], param_names=["theta"])
+        entry = report.entries[0]
+        assert entry.worst_index == (1, 0)
+        assert entry.worst_fd == pytest.approx(1.0, rel=1e-8)
+        assert entry.worst_grad == 4.0
+        assert entry.max_rel_error == pytest.approx(0.75, rel=1e-8)
+        line = str(report).splitlines()[0]
+        assert line.startswith("theta ") and "max_rel_error=7.500e-01" in line
+        assert line.endswith("at (1, 0) fd=1.000000e+00 grad=4.000000e+00")
+        assert str(report).splitlines()[1] == \
+            "overall max_rel_error=7.500e-01 tolerance=1.0e-04 -> FAIL"
+
+    def test_nan_gradient_names_its_coordinate(self):
+        grad = np.zeros((2, 2))
+        grad[0, 1] = np.nan
+        report = finite_diff_check(sum_of_squares, [np.zeros((2, 2))], [grad])
+        assert report.entries[0].worst_index == (0, 1)
+        assert report.max_rel_error == np.inf
+
     def test_constant_function_passes(self):
-        report = finite_diff_check(lambda params: 42.0, [np.ones((2, 2))], [np.zeros((2, 2))])
+        report = finite_diff_check(lambda params: 42.0, [np.ones((2, 2))], [np.zeros((2, 2))],
+                                   param_names=["w"])
         assert report.passed and report.max_rel_error == 0.0
+        # every coordinate matched, so the entry names none
+        assert report.entries[0].worst_index is None
+        assert str(report).splitlines()[0] == \
+            "w                coords=4      max_rel_error=0.000e+00"
 
     def test_wrong_gradient_fails(self):
         theta = np.ones((2, 2))

@@ -260,6 +260,42 @@ class TestGraphCommands:
         assert cli_dispatch(["synth", "--nodes", "10", "--classes", "2",
                              "--class-sizes", "3,3", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dim", "0"], "at least one class and one feature"),
+        (["--noise", "nan"], "must be finite"),
+        (["--noise=-inf"], "must be finite"),
+        (["--sep", "inf"], "must be finite"),
+        (["--noise", "1e308"], "features overflow"),
+    ])
+    def test_synth_rejects_what_the_loader_would(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        assert cli_dispatch(["synth", "--nodes", "20", "--classes", "2", *flags,
+                             "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--p-in", "0", "--p-out", "0"],
+        ["--dim", "1", "--classes", "3"],
+        ["--sep", "0", "--noise", "0"],
+        ["--sep", "1e300", "--noise", "1e300"],
+        ["--class-sizes", "20,0"],
+    ])
+    def test_every_synth_dataset_loads(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert cli_dispatch(["synth", "--nodes", "20", "--classes", "2", *flags,
+                             "--out", str(out)]) == 0
+        g = load_dataset(out)
+        assert g.n_nodes == 20
+        summary = capsys.readouterr().out
+        assert ("homophily" in summary) == (g.n_edges > 0)
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_inject_non_finite_target_exits_2(self, synth_ds, tmp_path, capsys, target):
+        assert cli_dispatch(["inject", "--data", str(synth_ds), f"--target-het={target}",
+                             "--out", str(tmp_path / "injected")]) == 2
+        assert "target heterophily must be finite" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path, capsys):

@@ -97,6 +97,12 @@ class TestRequiredEdges:
         with pytest.raises(ValueError):
             required_edges(g, 1.0)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_named(self, target):
+        g = graph_with_counts(5, 5)
+        with pytest.raises(ValueError, match="target heterophily must be finite"):
+            required_edges(g, target)
+
     def test_minimality_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -421,3 +427,10 @@ class TestGenerateSynthetic:
             SynthSpec(10, 2, p_intra=1.5)
         with pytest.raises(ValueError):
             SynthSpec(10, 2, class_sizes=(3, 3))
+        with pytest.raises(ValueError, match="one feature"):
+            SynthSpec(10, 2, n_features=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                SynthSpec(10, 2, mean_separation=bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                SynthSpec(10, 2, noise_scale=bad)

@@ -65,13 +65,13 @@ class TestSparseFeatureInput:
         def run():
             t = Tape()
             fs = M.forward_full(t, params, p_t, p_f, x, 0.8, 0.85)
-            backward(t, classification_loss(fs.y_hat, y, np.arange(10)))
-            return fs.y_hat.value, fs.leaves["input_w1"].grad
+            backward(t, classification_loss(fs.logits, y, np.arange(10)))
+            return fs.logits.value, fs.leaves["input_w1"].grad
 
-        y_hat, grad = run()
+        logits, grad = run()
         monkeypatch.setattr(M, "input_mlp", self.dense_node_input_mlp)
-        y_ref, grad_ref = run()
-        assert_rel_close(y_hat, y_ref)
+        logits_ref, grad_ref = run()
+        assert_rel_close(logits, logits_ref)
         assert_rel_close(grad, grad_ref)
         npt.assert_array_equal(grad[2], 0.0)
 
@@ -83,16 +83,16 @@ class TestSparseFeatureInput:
         y = one_hot(g.labels, 3)
 
         t = Tape()
-        y_hat, leaves = M.gcn_baseline_forward(t, p, p @ x, params)
-        backward(t, classification_loss(y_hat, y, np.arange(9)))
+        logits, leaves = M.gcn_baseline_forward(t, p, p @ x, params)
+        backward(t, classification_loss(logits, y, np.arange(9)))
 
         t_ref = Tape()
         ref = {k: t_ref.tensor(v) for k, v in params.items()}
         h1 = ad.relu(ad.matmul(ad.spmm(p, t_ref.tensor(x.toarray())), ref["w0"]))
-        y_ref = ad.softmax_rows(ad.matmul(ad.spmm(p, h1), ref["w1"]))
-        backward(t_ref, classification_loss(y_ref, y, np.arange(9)))
+        logits_ref = ad.matmul(ad.spmm(p, h1), ref["w1"])
+        backward(t_ref, classification_loss(logits_ref, y, np.arange(9)))
 
-        assert_rel_close(y_hat.value, y_ref.value)
+        assert_rel_close(logits.value, logits_ref.value)
         assert_rel_close(leaves["w0"].grad, ref["w0"].grad)
         npt.assert_array_equal(leaves["w0"].grad[0], 0.0)
 
@@ -212,13 +212,16 @@ class TestAttentionFuse:
 
 class TestPredict:
     def test_zero_head_uniform(self):
+        # zero logits: every class gets softmax 1/4, so each row's loss is log 4
         t = Tape()
         rng = np.random.default_rng(16)
         zt, zf = t.tensor(rng.standard_normal((5, 3))), t.tensor(rng.standard_normal((5, 3)))
-        y = M.predict(zt, zf, t.tensor(np.zeros((6, 4))), t.tensor(np.zeros((1, 4))))
-        npt.assert_allclose(y.value, np.full((5, 4), 0.25), atol=1e-15)
+        logits = M.predict(zt, zf, t.tensor(np.zeros((6, 4))), t.tensor(np.zeros((1, 4))))
+        npt.assert_array_equal(logits.value, np.zeros((5, 4)))
+        loss = classification_loss(logits, np.eye(4)[[0, 1, 2, 3, 0]], np.arange(5))
+        assert loss.item() == pytest.approx(5 * np.log(4))
 
-    def test_rows_sum_to_one_and_shift_invariant_argmax(self):
+    def test_shift_invariant_loss_and_argmax(self):
         t = Tape()
         rng = np.random.default_rng(17)
         zt, zf = t.tensor(rng.standard_normal((5, 3))), t.tensor(rng.standard_normal((5, 3)))
@@ -227,7 +230,9 @@ class TestPredict:
         b_shift = t.tensor(b.value + 7.5)
         y1 = M.predict(zt, zf, w, b)
         y2 = M.predict(zt, zf, w, b_shift)
-        npt.assert_allclose(y1.value.sum(axis=1), np.ones(5), atol=1e-12)
+        y = np.eye(4)[[3, 1, 0, 2, 1]]
+        assert classification_loss(y1, y, np.arange(5)).item() == \
+            pytest.approx(classification_loss(y2, y, np.arange(5)).item(), rel=1e-12)
         npt.assert_array_equal(np.argmax(y1.value, axis=1), np.argmax(y2.value, axis=1))
 
 
@@ -237,8 +242,10 @@ class TestBaselines:
         p = normalized_adjacency(g)
         t = Tape()
         params = {"w0": np.zeros((4, 5)), "w1": np.zeros((5, 3))}
-        y, _ = M.gcn_baseline_forward(t, p, p @ g.features, params)
-        npt.assert_allclose(y.value, np.full((6, 3), 1 / 3), atol=1e-15)
+        logits, _ = M.gcn_baseline_forward(t, p, p @ g.features, params)
+        npt.assert_array_equal(logits.value, np.zeros((6, 3)))
+        loss = classification_loss(logits, one_hot(g.labels, 3), np.arange(6))
+        assert loss.item() == pytest.approx(6 * np.log(3))
 
     def test_baseline_gradient_matches_fd(self):
         g = random_check_instance(n=7, d=3, c=2, seed=19)
@@ -277,7 +284,7 @@ class TestFullModel:
         t = Tape()
         fs = M.forward_full(t, params, p_t, p_f, g.features, 0.8, 0.85)
         from fusegcn.losses import disparity_loss, total_loss
-        l_cl = classification_loss(fs.y_hat, one_hot(g.labels, 2), np.array([0, 1, 2, 3]))
+        l_cl = classification_loss(fs.logits, one_hot(g.labels, 2), np.array([0, 1, 2, 3]))
         l_c = closeness_loss(fs.z_ct, fs.z_cf)
         l_d = disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
         backward(t, total_loss(l_cl, l_c, l_d, LossWeights(1.0, 1.0, 1.0)))

@@ -208,7 +208,7 @@ class TestTrain:
         tape = Tape()
         fs = M.forward_full(tape, params, normalized_adjacency(g), normalized_adjacency(g_f),
                             g.features, cfg.prop_weight, cfg.common_mix)
-        val_acc, _ = evaluate(fs.y_hat.value, g.labels, split.val)
+        val_acc, _ = evaluate(fs.logits.value, g.labels, split.val)
         assert val_acc == best_val
 
     def test_early_stopping_respects_patience(self):
