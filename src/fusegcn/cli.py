@@ -102,7 +102,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _load_config(path, seed_override=None):
+    _check_seed(seed_override)
     cfg_dict = dataio.parse_config(path) if path else {}
     cfg = dataio.config_to_train_config(cfg_dict, seed_override)
     return cfg, cfg_dict
@@ -167,6 +173,7 @@ def _cmd_knn_graph(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    _check_seed(args.seed)
     g = dataio.load_dataset(args.data)
     k = required_edges(g, args.target_het)
     g2 = inject_heterophilous_edges(g, k, args.seed)
@@ -215,6 +222,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     cfg = _load_config(args.config, args.seed)[0] if args.config else None
     report = model_gradient_check(n=args.nodes, d=args.dim, c=args.classes,
                                   hidden=args.hidden, seed=args.seed, eps=args.eps,

@@ -106,6 +106,21 @@ def normalized_adjacency(g: Graph) -> sp.csr_array:
     return p
 
 
+def sparse_features(x: np.ndarray) -> sp.csr_array:
+    """`sp.csr_array(x)` of a dense matrix: the same indptr, indices, data and shape.
+
+    One scan of `x != 0` gives the row-major flat positions of the nonzeros
+    (-0.0 counts as zero); each row's span is found by binary search in them.
+    This is several times faster than scipy's float `nonzero` scan.
+    """
+    x = np.asarray(x)
+    n, d = x.shape
+    flat = np.flatnonzero(x != 0)
+    idx = sp.get_index_dtype(maxval=max(flat.size, n, d))
+    indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(idx)
+    return sp.csr_array((np.take(x, flat), (flat % d).astype(idx), indptr), shape=(n, d))
+
+
 def homophily_ratio(g: Graph) -> float:
     """Fraction of edges whose endpoints share a label, each edge counted once."""
     if g.labels is None:

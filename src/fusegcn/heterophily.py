@@ -58,6 +58,8 @@ class SweepPlan:
 def make_sweep_plan(g: Graph, seed: int = 0, n_levels: int = SWEEP_LEVELS,
                     max_level: float = MAX_SWEEP_LEVEL) -> SweepPlan:
     """Linearly spaced heterophily targets from the graph's own level to max_level."""
+    if n_levels < 1:
+        raise ValueError(f"a sweep needs at least one level, got n_levels={n_levels}")
     h_init = 1.0 - homophily_ratio(g)
     if h_init >= max_level:
         raise ValueError(f"graph heterophily {h_init:.3f} already at or above {max_level}")
@@ -275,6 +277,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.p_intra <= 1.0 and 0.0 <= self.p_inter <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
         if self.n_classes < 1 or self.n_features < 1:
@@ -284,6 +290,8 @@ class SynthSpec:
         if self.class_sizes is not None:
             if len(self.class_sizes) != self.n_classes:
                 raise ValueError("one size per class required")
+            if min(self.class_sizes) < 0:
+                raise ValueError(f"class_sizes must be >= 0, got {self.class_sizes}")
             if sum(self.class_sizes) != self.n_nodes:
                 raise ValueError("class sizes must sum to n_nodes")
 

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import losses as L
 from . import model as M
 from .autodiff import Tape, TensorNode, backward, finite_diff_check
-from .graphs import Graph, knn_feature_graph, normalized_adjacency
+from .graphs import Graph, knn_feature_graph, normalized_adjacency, sparse_features
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -60,6 +59,8 @@ class TrainConfig:
             raise ValueError("train_per_class and val_per_class must be >= 1")
         if not 0.0 <= self.prop_weight <= 1.0 or not 0.0 <= self.common_mix <= 1.0:
             raise ValueError("mixing weights must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def full_objective(g: Graph, g_f: Graph, cfg: TrainConfig, train_nodes: np.ndarr
     """
     p_t = normalized_adjacency(g)
     p_f = normalized_adjacency(g_f)
-    x = sp.csr_array(g.features)
+    x = sparse_features(g.features)
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
@@ -247,7 +248,7 @@ def baseline_objective(g: Graph, prop_graph: Graph, cfg: TrainConfig,
     Propagation runs over `prop_graph`; labels and features come from `g`.
     """
     p = normalized_adjacency(prop_graph)
-    px = p @ sp.csr_array(g.features)
+    px = p @ sparse_features(g.features)
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:

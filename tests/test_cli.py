@@ -192,6 +192,19 @@ class TestTrainCommand:
         assert f"params file {params} is for 4 features and 2 classes" in err
         assert "the dataset has 6 features and 2 classes" in err
 
+    def test_negative_seed_flag_exits_2(self, synth_ds, tmp_path, capsys):
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config",
+                             str(tiny_config(tmp_path)), "--seed", "-1",
+                             "--out", str(tmp_path / "run")]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_config_seed_exits_2(self, synth_ds, tmp_path, capsys):
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config",
+                             str(tiny_config(tmp_path, seed=-1)),
+                             "--out", str(tmp_path / "run")]) == 2
+        assert "bad config: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_negative_lr_exits_2(self, synth_ds, tmp_path, capsys):
         cfg = tiny_config(tmp_path, lr=-0.05)
         assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
@@ -274,6 +287,18 @@ class TestGraphCommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--nodes", "-3", "--classes", "1"], "n_nodes must be >= 1, got -3"),
+        (["--nodes", "10", "--classes", "2", "--class-sizes", "12,-2"],
+         "class_sizes must be >= 0, got (12, -2)"),
+        (["--nodes", "10", "--classes", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_synth_negative_size_or_seed_named(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        assert cli_dispatch(["synth", *flags, "--out", str(out)]) == 2
+        assert f"error: synth: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--p-in", "0", "--p-out", "0"],
         ["--dim", "1", "--classes", "3"],
@@ -289,6 +314,13 @@ class TestGraphCommands:
         assert g.n_nodes == 20
         summary = capsys.readouterr().out
         assert ("homophily" in summary) == (g.n_edges > 0)
+
+    def test_inject_negative_seed_exits_2(self, synth_ds, tmp_path, capsys):
+        out = tmp_path / "injected"
+        assert cli_dispatch(["inject", "--data", str(synth_ds), "--target-het", "0.6",
+                             "--seed", "-3", "--out", str(out)]) == 2
+        assert "error: --seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_inject_non_finite_target_exits_2(self, synth_ds, tmp_path, capsys, target):
@@ -314,6 +346,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--levels", "0", "a sweep needs at least one level"),
+        ("--levels", "-2", "a sweep needs at least one level, got n_levels=-2"),
         ("--max-het", "nan", "levels must be finite"),
     ])
     def test_bad_plan_exits_2(self, synth_ds, tmp_path, capsys, flag, value, message):
@@ -329,6 +362,11 @@ class TestGradcheckCommand:
                            "--hidden", "5", "--seed", "3"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",
+                             "--hidden", "5", "--seed", "-1"]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["nan", "0"])
     def test_bad_eps_exits_2(self, eps, capsys):

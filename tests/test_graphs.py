@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from fusegcn import graphs
 from fusegcn.graphs import (
@@ -13,7 +14,10 @@ from fusegcn.graphs import (
     homophily_ratio,
     knn_feature_graph,
     normalized_adjacency,
+    sparse_features,
 )
+from fusegcn.dataio import load_dataset
+from perfbench import workloads
 
 
 def make_graph(n, edges, labels=None, d=3, seed=0):
@@ -310,3 +314,44 @@ class TestDegreeStats:
     def test_complete(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         npt.assert_array_equal(degree_stats(make_graph(4, edges)), [3, 3, 3, 3])
+
+
+class TestSparseFeatures:
+    """`sparse_features` against its oracle, scipy's dense-to-CSR constructor."""
+
+    @staticmethod
+    def assert_same_csr(x):
+        got, want = sparse_features(x), sp.csr_array(x)
+        assert isinstance(got, sp.csr_array)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            npt.assert_array_equal(a, b, err_msg=name)
+
+    def test_all_zero(self):
+        self.assert_same_csr(np.zeros((4, 3)))
+
+    def test_all_zero_row(self):
+        self.assert_same_csr(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+
+    def test_negative_zero_is_zero(self):
+        x = np.array([[-0.0, 1.0], [2.0, -0.0], [-0.0, -0.0]])
+        self.assert_same_csr(x)
+        assert sparse_features(x).nnz == 2
+
+    def test_one_column(self):
+        self.assert_same_csr(np.array([[0.0], [5.0], [0.0], [-1.5]]))
+
+    def test_fortran_order(self):
+        rng = np.random.default_rng(0)
+        x = np.asfortranarray(rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.4))
+        self.assert_same_csr(x)
+
+    def test_random_30_percent_dense(self):
+        rng = np.random.default_rng(1)
+        self.assert_same_csr(rng.standard_normal((50, 40)) * (rng.random((50, 40)) < 0.3))
+
+    def test_perfbench_tiny_cite3k(self, tmp_path):
+        path = workloads.write_dataset("cite3k", 0, tmp_path / "cite3k", workloads.TINY)
+        self.assert_same_csr(load_dataset(path).features)

@@ -354,6 +354,11 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match="at least one level"):
             SweepPlan((), ())
 
+    @pytest.mark.parametrize("n_levels", [0, -2])
+    def test_level_count_named(self, n_levels):
+        with pytest.raises(ValueError, match=f"at least one level, got n_levels={n_levels}"):
+            make_sweep_plan(graph_with_counts(10, 2), n_levels=n_levels)
+
     def test_non_finite_levels_rejected(self):
         with pytest.raises(ValueError, match="levels must be finite"):
             SweepPlan((0.2, float("nan")), (1, 2))
@@ -429,6 +434,12 @@ class TestGenerateSynthetic:
             SynthSpec(10, 2, class_sizes=(3, 3))
         with pytest.raises(ValueError, match="one feature"):
             SynthSpec(10, 2, n_features=0)
+        with pytest.raises(ValueError, match="n_nodes must be >= 1, got -3"):
+            SynthSpec(-3, 1)
+        with pytest.raises(ValueError, match=r"class_sizes must be >= 0, got \(12, -2\)"):
+            SynthSpec(10, 2, class_sizes=(12, -2))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SynthSpec(10, 2, seed=-1)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 SynthSpec(10, 2, mean_separation=bad)

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from fusegcn.graphs import knn_feature_graph, normalized_adjacency
 from fusegcn.heterophily import SynthSpec, generate_synthetic
@@ -62,6 +63,10 @@ class TestTrainConfig:
                     dict(weight_decay=-5.0), dict(weight_decay=np.nan)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 class TestMakeSplit:
@@ -286,6 +291,24 @@ class TestTrainBaseline:
         cfg = small_cfg(epochs=40)
         _, trace = train_baseline(g, cfg)
         assert trace.final_accuracy > 0.7
+
+
+class TestFeatureOperand:
+    @pytest.mark.parametrize("build", ["full_objective", "baseline_objective"])
+    def test_no_dense_to_sparse_scan(self, monkeypatch, build):
+        # the feature CSR comes from `graphs.sparse_features`, not scipy's scan
+        g, g_f = small_dataset(seed=5)
+        dense = []
+        csr_array = sp.csr_array
+
+        def counting_csr_array(arg, *args, **kwargs):
+            if isinstance(arg, np.ndarray):
+                dense.append(arg.shape)
+            return csr_array(arg, *args, **kwargs)
+
+        monkeypatch.setattr(sp, "csr_array", counting_csr_array)
+        getattr(training, build)(g, g_f, small_cfg(), np.arange(10))
+        assert dense == []
 
 
 class TestFinalPass:
