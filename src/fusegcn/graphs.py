@@ -3,6 +3,12 @@
 Edges are undirected, stored canonically as (i, j) with i < j, sorted
 lexicographically and free of duplicates and self-loops. All operations here
 are pure functions of their inputs.
+
+Set-up works on int64 keys: the pair (i, j) of an n-node graph is the key
+i*n + j, so sorting keys sorts pairs by (i, j) and one 1-D sort replaces a
+row-wise one. `canonical_edges` deduplicates the keys of the (min, max)
+pairs; `normalized_adjacency` sorts the keys of both edge directions and the
+diagonal, which puts the CSR entries in row order with sorted columns.
 """
 
 from __future__ import annotations
@@ -66,16 +72,30 @@ class Graph:
 
 
 def canonical_edges(edges, n_nodes) -> np.ndarray:
-    """Canonicalize an edge list: i < j ordering, deduplicated, sorted."""
+    """Canonicalize an edge list: i < j ordering, deduplicated, sorted.
+
+    Each pair becomes the key min*n + max; the sorted keys with repeats
+    dropped, decoded with // and %, are the canonical edges in order (a sort
+    and one neighbour comparison; numpy 2.4's hash-based `np.unique` is 10-30x
+    slower on these arrays). Endpoints are range-checked first: out of range,
+    a pair would decode to another, valid pair.
+    """
     e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                    dtype=np.int64).reshape(-1, 2)
     if e.shape[0] == 0:
         return e
-    if np.any(e[:, 0] == e[:, 1]):
-        raise ValueError("self-loop in edge list")
+    n = int(n_nodes)
+    if n * n > np.iinfo(np.int64).max:
+        raise ValueError(f"n_nodes={n} too large: edge keys n_nodes**2 overflow int64")
+    if e.min() < 0 or e.max() >= n:
+        raise ValueError("edge endpoint out of range [0, n_nodes)")
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    if np.any(lo == hi):
+        raise ValueError("self-loop in edge list")
+    keys = np.sort(lo * n + hi)
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def degree_stats(g: Graph) -> np.ndarray:
@@ -94,16 +114,22 @@ def normalized_adjacency(g: Graph) -> sp.csr_array:
     self-loop, for every edge of the self-loop-augmented graph. Isolated
     nodes end up with a single diagonal entry of 1. Column indices are
     sorted within each row, so every product sums a row in column order.
+
+    The CSR arrays are built directly: the sorted keys r*n + c of both edge
+    directions and of the diagonal (i*(n + 1)) list the entries row by row
+    in column order, row r holding deg_r of them; indices are `key % n`,
+    computed as key - r*n.
     """
-    deg = degree_stats(g) + 1.0
     n = g.n_nodes
-    loops = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], loops])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], loops])
-    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    p = sp.csr_array((vals, (rows, cols)), shape=(n, n))
-    p.sort_indices()
-    return p
+    e = g.edges.astype(np.int64, copy=False)
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0],
+                                   np.arange(n, dtype=np.int64) * (n + 1)]))
+    counts = degree_stats(g) + 1
+    cols = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+    deg = counts.astype(np.float64)
+    vals = 1.0 / np.sqrt(np.repeat(deg, counts) * deg[cols])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_array((vals, cols, indptr), shape=(n, n))
 
 
 def sparse_features(x: np.ndarray) -> sp.csr_array:
@@ -131,6 +157,31 @@ def homophily_ratio(g: Graph) -> float:
     return same / g.n_edges
 
 
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / row norms, row norms) in one row-blocked pass, with no N x d temporary.
+
+    Each block's squares go into the block's rows of the result, which has
+    x's layout; their `np.add.reduce` is bit-equal to `np.linalg.norm`, and
+    `x / norm` then overwrites them. Rows whose norm is 0 or not finite come
+    back unnormalized (nan, inf or garbage) for the caller to handle.
+    """
+    n, d = x.shape
+    xn = np.empty_like(x)
+    norms = np.empty(n)
+    rows = max(2, _BLOCK_ENTRIES // max(d, 1))
+    # no one-row block unless n = 1: numpy sums a lone strided row (of an
+    # F-ordered x) in another order than the same row of a larger block
+    starts = range(0, max(n - 1, 1), rows)
+    with np.errstate(all="ignore"):
+        for r0, r1 in zip(starts, [*starts[1:], n]):
+            xb, sq = x[r0:r1], xn[r0:r1]
+            np.multiply(xb, xb, out=sq)
+            nb = norms[r0:r1]
+            np.sqrt(np.add.reduce(sq, axis=1), out=nb)
+            np.divide(xb, nb[:, None], out=sq)
+    return xn, norms
+
+
 def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     """Undirected k-nearest-neighbor graph under cosine similarity.
 
@@ -141,9 +192,12 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     larger computed value wins. The returned graph carries the input features
     and no labels.
 
-    The N x N similarity matrix is the only N x N array: the top k of each
-    row is selected by partition in row blocks of about 2**20 entries, so the
-    selection adds O(block x N) memory on top of it.
+    The unit-norm rows and the N x N similarity matrix are the only full-size
+    arrays, and they overlap only during the product. The top k of each row
+    is selected in row blocks of about 2**20 entries: the entries at or above
+    the row's k-th largest value are kept in one comparison pass, and only a
+    row with more than k of them (a tie at the k-th value) keeps the
+    lowest-index tied entries that fill its k.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -151,20 +205,17 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite feature value at node {bad[0]}")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1)
+    xn, norms = _unit_rows(x)
     # a row whose squares overflow or underflow is normalized after dividing it
     # by its largest absolute value; other rows keep x / norms bit for bit
-    odd = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
+    odd = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    bad = odd[~np.isfinite(x[odd]).all(axis=1)]
+    if bad.size:
+        raise ValueError(f"non-finite feature value at node {bad[0]}")
     peaks = np.abs(x[odd]).max(axis=1, keepdims=True, initial=0.0)
     zero = odd[peaks[:, 0] == 0.0]
     if zero.size:
         raise ValueError(f"cosine similarity undefined: zero-norm feature row at node {zero[0]}")
-    norms[odd] = 1.0
-    xn = x / norms[:, None]
     scaled = x[odd] / peaks
     xn[odd] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
     sim = xn @ xn.T
@@ -178,10 +229,15 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     for r0 in range(0, n, block):
         s = sim[r0:r0 + block]
         kth = np.partition(s, n - k, axis=1)[:, [n - k]]
-        above = s > kth
-        tied = s == kth
-        room = k - np.count_nonzero(above, axis=1)
-        keep = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room[:, None]))
+        keep = s >= kth
+        tied_rows = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        if tied_rows.size:
+            st, kt = s[tied_rows], kth[tied_rows]
+            above = st > kt
+            tied = st == kt
+            room = k - np.count_nonzero(above, axis=1)
+            keep[tied_rows] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
+                                               <= room[:, None]))
         nbrs[r0:r0 + block] = np.nonzero(keep)[1].reshape(-1, k)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edges = canonical_edges(np.stack([src, nbrs.ravel()], axis=1), n)

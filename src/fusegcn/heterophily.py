@@ -171,9 +171,17 @@ def _accept(taken: np.ndarray, keys: np.ndarray, limit: int) -> tuple[np.ndarray
     """Insert the first `limit` distinct `keys` (in draw order) absent from `taken`.
 
     `taken` is sorted and ends in a sentinel above every key; returns it with
-    the accepted keys inserted, and their count.
+    the accepted keys inserted, and their count. A distinct key's first draw
+    is the least draw index in its run of the sorted keys, so the sort need
+    not be stable.
     """
-    uniq, first = np.unique(keys, return_index=True)
+    if keys.size == 0:
+        return taken, 0
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
+    uniq = sorted_keys[starts]
+    first = np.minimum.reduceat(order, starts)
     fresh = taken[np.searchsorted(taken, uniq)] != uniq
     new = np.sort(keys[np.sort(first[fresh])[:limit]])
     return np.insert(taken, np.searchsorted(taken, new), new), new.size

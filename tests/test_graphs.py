@@ -45,10 +45,96 @@ def random_labeled_graph(rng, max_n=30):
     return make_graph(n, pairs, labels=labels, seed=int(rng.integers(1 << 31)))
 
 
+def unique_rows_canonical_edges(edges, n_nodes):
+    """The row-wise `np.unique(axis=0)` canonicalization that integer keys replaced."""
+    e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                   dtype=np.int64).reshape(-1, 2)
+    if e.shape[0] == 0:
+        return e
+    if np.any(e[:, 0] == e[:, 1]):
+        raise ValueError("self-loop in edge list")
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+def coo_normalized_adjacency(g):
+    """The scipy COO-to-CSR construction that the direct key sort replaced."""
+    deg = degree_stats(g) + 1.0
+    n = g.n_nodes
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], loops])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], loops])
+    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
+    p = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+    p.sort_indices()
+    return p
+
+
+def assert_same_array(got, want, name=""):
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_csr(got, want):
+    assert isinstance(got, sp.csr_array)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+
+
+def edge_list_cases():
+    """Edge lists for the key-based builders: (n_nodes, edges)."""
+    rng = np.random.default_rng(43)
+    cases = [(4, np.zeros((0, 2), dtype=np.int64)), (1, []), (6, [(0, 5), (1, 2)]),
+             (5, [(3, 1), (1, 3), (4, 0), (0, 4), (0, 4), (2, 1), (1, 2), (2, 3)])]
+    for _ in range(10):
+        n = int(rng.integers(2, 200))
+        m = int(rng.integers(1, 3 * n))
+        e = rng.integers(0, n, size=(m, 2))
+        cases.append((n, e[e[:, 0] != e[:, 1]]))
+    return cases
+
+
+class TestKeyedBuildersMatchOracles:
+    """`canonical_edges` and `normalized_adjacency` give the replaced forms' bits."""
+
+    @pytest.mark.parametrize("n, edges", edge_list_cases())
+    def test_canonical_edges(self, n, edges):
+        assert_same_array(canonical_edges(edges, n), unique_rows_canonical_edges(edges, n))
+
+    @pytest.mark.parametrize("n, edges", edge_list_cases())
+    def test_normalized_adjacency(self, n, edges):
+        g = make_graph(n, edges)
+        assert_same_csr(normalized_adjacency(g), coo_normalized_adjacency(g))
+
+    def test_int32_edges(self):
+        # keys of 50,000 nodes pass 2**31: they must be formed in int64
+        n = 50_000
+        g = make_graph(n, [(0, n - 1), (n - 3, n - 2), (n - 2, n - 1)], d=1)
+        g32 = Graph(n, g.edges.astype(np.int32), g.features)
+        assert_same_csr(normalized_adjacency(g32), coo_normalized_adjacency(g))
+
+
 class TestGraphInvariants:
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError):
             make_graph(3, [(0, 5)])
+
+    @pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 2), (2, -3), (0, 3)])
+    def test_endpoint_range_checked_before_key_encoding(self, pair):
+        # unchecked, (0, 5) on 3 nodes is key 5, which decodes to the edge (1, 2)
+        msg = r"edge endpoint out of range \[0, n_nodes\)"
+        with pytest.raises(ValueError, match=msg):
+            canonical_edges([(0, 1), pair], 3)
+        with pytest.raises(ValueError, match=msg):
+            Graph.from_edges(3, [(0, 1), pair], np.ones((3, 1)))
+
+    def test_node_count_whose_keys_overflow_int64(self):
+        with pytest.raises(ValueError, match="overflow int64"):
+            canonical_edges([(0, 1)], 2**32)
+        npt.assert_array_equal(canonical_edges([(2, 1)], 3_037_000_499), [[1, 2]])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -267,10 +353,14 @@ def _small_integers(rng, n=70, d=3):
     return x
 
 
+def _fortran_small_integers(rng, n=71, d=9):
+    return np.asfortranarray(_small_integers(rng, n, d))
+
+
 class TestKnnMatchesArgsort:
     """Edge sets equal the full-argsort selection, ties and block edges included."""
 
-    MAKERS = [_sparse_binary, _scaled_tiles, _small_integers]
+    MAKERS = [_sparse_binary, _scaled_tiles, _small_integers, _fortran_small_integers]
 
     @pytest.mark.parametrize("make", MAKERS)
     def test_tie_heavy_inputs(self, make):
@@ -292,16 +382,44 @@ class TestKnnMatchesArgsort:
             npt.assert_array_equal(knn_feature_graph(x, k).edges, _argsort_knn(x, k).edges)
 
 
-def test_knn_memory_peak_below_two_similarity_matrices():
+@pytest.mark.parametrize("d, bound", [(4, 2.0), (2000, 2.1)])
+def test_knn_memory_peak(d, bound):
+    # d = n: the unit-norm rows are as large as the similarity matrix, so the
+    # peak is both of them during the product plus the set-up's small arrays;
+    # rows kept alive into the selection would add its block temporaries
     n = 2000
-    x = np.random.default_rng(41).standard_normal((n, 4))
+    x = np.random.default_rng(41).standard_normal((n, d))
     tracemalloc.start()
     try:
         knn_feature_graph(x, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * n * 8
+    assert peak < bound * n * n * 8
+
+
+class TestUnitRows:
+    """The blocked norms are `np.linalg.norm`'s bits, whatever the block size."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("d", [1, 8, 9, 129, 3703])
+    def test_norms_and_rows_bit_equal(self, monkeypatch, d, rows, order):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((70, d))
+        x[5] *= 1e200     # squares overflow: norm inf
+        x[6] *= 1e-200    # squares underflow: norm 0
+        x[7] *= 1e150     # squares overflow only when summed (d > 1)
+        x = np.asarray(x, order=order)
+        monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", rows * d)
+        xn, norms = graphs._unit_rows(x)
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(x, axis=1)
+        assert_same_array(norms, want)
+        assert xn.flags.c_contiguous == x.flags.c_contiguous
+        assert xn.flags.f_contiguous == x.flags.f_contiguous
+        ok = np.isfinite(want) & (want > 0)
+        assert_same_array(xn[ok], (x / np.where(ok, want, 1.0)[:, None])[ok])
 
 
 class TestDegreeStats:
@@ -321,13 +439,7 @@ class TestSparseFeatures:
 
     @staticmethod
     def assert_same_csr(x):
-        got, want = sparse_features(x), sp.csr_array(x)
-        assert isinstance(got, sp.csr_array)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype, name
-            npt.assert_array_equal(a, b, err_msg=name)
+        assert_same_csr(sparse_features(x), sp.csr_array(x))
 
     def test_all_zero(self):
         self.assert_same_csr(np.zeros((4, 3)))

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fusegcn.graphs import Graph, homophily_ratio
+from fusegcn.graphs import Graph, canonical_edges, homophily_ratio, normalized_adjacency
 from fusegcn import heterophily
 from fusegcn.heterophily import (
     InjectionBudgetError,
@@ -18,8 +20,15 @@ from fusegcn.heterophily import (
 from fusegcn.losses import LossWeights
 from fusegcn.training import TrainConfig, train
 from fusegcn.graphs import knn_feature_graph
+from perfbench import workloads
 from tests.test_autodiff import tapes_left_by
-from tests.test_graphs import make_graph
+from tests.test_graphs import (
+    assert_same_array,
+    assert_same_csr,
+    coo_normalized_adjacency,
+    make_graph,
+    unique_rows_canonical_edges,
+)
 
 
 def _scalar_inject(g, k, seed):
@@ -328,6 +337,66 @@ class TestInjectionMatchesScalarLoop:
         batched, scalar = self._budget_messages(g, 5, 1)
         assert batched == scalar
         assert "after adding 0 of" not in batched
+
+
+def _stable_accept(taken, keys, limit):
+    """The `np.unique(return_index=True)` acceptance that the argsort form replaced."""
+    uniq, first = np.unique(keys, return_index=True)
+    fresh = taken[np.searchsorted(taken, uniq)] != uniq
+    new = np.sort(keys[np.sort(first[fresh])[:limit]])
+    return np.insert(taken, np.searchsorted(taken, new), new), new.size
+
+
+@functools.cache
+def sweep400_top_level():
+    """perfbench's sweep400 at seed 0: (base graph, k, injection seed, top-level graph)."""
+    labels, edges, x = workloads.sbm_graph(0)
+    g = Graph.from_edges(labels.size, edges, x, labels)
+    plan = make_sweep_plan(g, 0, workloads.FULL.sweep_levels, workloads.FULL.sweep_max_level)
+    k = required_edges(g, plan.levels[-1])
+    return g, k, plan.seeds[-1], inject_heterophilous_edges(g, k, plan.seeds[-1])
+
+
+class TestAcceptMatchesStableUnique:
+    """`_accept` gives the stable `np.unique` form's bits, batch for batch."""
+
+    @pytest.mark.parametrize("limit", [0, 1, 5, 1000])
+    def test_random_batches(self, limit):
+        rng = np.random.default_rng(limit)
+        for _ in range(20):
+            taken = np.append(np.unique(rng.integers(0, 300, size=40)), 300)
+            keys = rng.integers(0, 300, size=int(rng.integers(0, 120)))
+            got, want = heterophily._accept(taken, keys, limit), _stable_accept(taken, keys, limit)
+            assert_same_array(got[0], want[0])
+            assert got[1] == want[1]
+
+    def test_empty_batch(self):
+        taken = np.array([3, 7, 100], dtype=np.int64)
+        got, n_new = heterophily._accept(taken, np.zeros(0, dtype=np.int64), 4)
+        assert n_new == 0
+        assert_same_array(got, _stable_accept(taken, np.zeros(0, dtype=np.int64), 4)[0])
+
+
+class TestSweep400TopLevel:
+    """The keyed builders on sweep400's top level: 37,631 injected edges."""
+
+    def test_injection_matches_stable_accept(self, monkeypatch):
+        g, k, seed, top = sweep400_top_level()
+        assert k == 37_631 and top.n_edges == g.n_edges + k
+        monkeypatch.setattr(heterophily, "_accept", _stable_accept)
+        assert_same_array(top.edges, inject_heterophilous_edges(g, k, seed).edges)
+
+    def test_normalized_adjacency_matches_coo(self):
+        top = sweep400_top_level()[-1]
+        assert_same_csr(normalized_adjacency(top), coo_normalized_adjacency(top))
+
+    def test_canonical_edges_matches_unique_rows(self):
+        top = sweep400_top_level()[-1]
+        rng = np.random.default_rng(3)
+        raw = rng.permutation(np.concatenate([top.edges, top.edges[:, ::-1], top.edges[:500]]))
+        assert_same_array(canonical_edges(raw, top.n_nodes),
+                          unique_rows_canonical_edges(raw, top.n_nodes))
+        assert_same_array(canonical_edges(raw, top.n_nodes), top.edges)
 
 
 class TestSweepPlan:
