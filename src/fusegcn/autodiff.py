@@ -8,11 +8,27 @@ caller drops its nodes, and a later ``backward`` on the same tape is an
 error. All values are 2-D float64 arrays; scalars are (1, 1). A tape is
 single-owner: one step builds and consumes (or discards) one tape.
 
-Gradients are allocated lazily. A node's first gradient contribution becomes
-its gradient buffer and later ones are added into it, so an operator passing
-its output gradient through unchanged hands over a copy. Reading ``grad`` on
-a node that received no gradient gives zeros of its shape, allocated for
-that read only.
+Gradients live in per-node gradient slots and are allocated lazily. A
+node's first gradient contribution becomes its slot's buffer and later ones
+are added into it, so an operator passing its output gradient through
+unchanged hands over a copy. Reading ``grad`` on a node that received no
+gradient gives zeros of its shape, allocated for that read only.
+
+A backward closure holds the gradient slots of its operands and output and
+the arrays its formula reads, never a node. So a node's value is freed as
+soon as the forward code drops the node, unless some closure reads it, and
+a step's memory until backward is what backward needs:
+- ``matmul`` and ``hadamard`` keep both operand values, ``spmm`` its sparse
+  constant;
+- ``sigmoid`` and ``relu`` keep their output (``relu`` masks with
+  ``y > 0``, which equals ``a > 0`` for every input, so its input is freed);
+- ``add_scaled``, ``scale``, ``add_row_bias`` and ``concat_cols`` keep no
+  array;
+- ``l2_normalize_rows`` keeps its output and the row norms,
+  ``gram_distance_sq`` its h x h products and the difference and sum,
+  ``mean_row_cosine`` both operands, the norms and the cosines, and
+  ``softmax_cross_entropy`` the exponentials, their row sums, the labels and
+  the mask.
 
 Constant operands (the sparse adjacency, the sparse feature matrix) are not
 nodes: ``spmm`` takes them as plain scipy CSR matrices and sends gradient to
@@ -37,24 +53,20 @@ class TapeError(RuntimeError):
     pass
 
 
-class TensorNode:
-    """A value on a tape plus the gradient `backward` accumulates for it."""
+class _GradSlot:
+    """A node's gradient buffer: all a backward closure holds of a node it
+    sends gradient to or reads the output gradient of."""
 
-    __slots__ = ("value", "tape", "_grad")
+    __slots__ = ("shape", "_grad")
 
-    def __init__(self, value: np.ndarray, tape: "Tape"):
-        self.value = value
-        self.tape = tape
+    def __init__(self, shape: tuple):
+        self.shape = shape
         self._grad = None
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     @property
     def grad(self) -> np.ndarray:
         """Accumulated gradient; zeros (not stored) before any contribution."""
-        return np.zeros_like(self.value) if self._grad is None else self._grad
+        return np.zeros(self.shape) if self._grad is None else self._grad
 
     def _add_grad(self, g: np.ndarray) -> None:
         """Accumulate `g`; the first contribution is stored, so it must not be
@@ -63,6 +75,29 @@ class TensorNode:
             self._grad = g
         else:
             self._grad += g
+
+
+class TensorNode:
+    """A value on a tape plus the gradient slot `backward` accumulates into."""
+
+    __slots__ = ("value", "tape", "_slot")
+
+    def __init__(self, value: np.ndarray, tape: "Tape"):
+        self.value = value
+        self.tape = tape
+        self._slot = _GradSlot(value.shape)
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient; zeros (not stored) before any contribution."""
+        return self._slot.grad
+
+    def _add_grad(self, g: np.ndarray) -> None:
+        self._slot._add_grad(g)
 
     def item(self) -> float:
         if self.value.shape != (1, 1):
@@ -114,7 +149,7 @@ def backward(tape: Tape, loss: TensorNode) -> None:
     if tape._used:
         raise TapeError("this tape was already consumed or discarded; build a new tape")
     tape._used = True
-    loss._grad = np.ones((1, 1))
+    loss._slot._grad = np.ones((1, 1))
     fns = tape._backward_fns
     while fns:
         fns.pop()()
@@ -122,17 +157,22 @@ def backward(tape: Tape, loss: TensorNode) -> None:
 
 # ---------------------------------------------------------------------------
 # operators
+#
+# Each closure binds the slots it reads or writes (`ga` for `a`'s, `go` for
+# the output's) and the arrays its formula reads, never a node.
 # ---------------------------------------------------------------------------
 
 def matmul(a: TensorNode, b: TensorNode) -> TensorNode:
     tape = _same_tape(a, b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = tape.tensor(a.value @ b.value)
+    av, bv = a.value, b.value
+    out = tape.tensor(av @ bv)
+    ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
-        a._add_grad(out.grad @ b.value.T)
-        b._add_grad(a.value.T @ out.grad)
+        ga._add_grad(go.grad @ bv.T)
+        gb._add_grad(av.T @ go.grad)
 
     tape._record(bwd)
     return out
@@ -144,32 +184,41 @@ def spmm(p: sp.csr_array, h: TensorNode) -> TensorNode:
     if p.shape[1] != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {p.shape} @ {h.shape}")
     out = tape.tensor(p @ h.value)
+    gh, go = h._slot, out._slot
 
     def bwd():
-        h._add_grad(p.T @ out.grad)
+        gh._add_grad(p.T @ go.grad)
 
     tape._record(bwd)
     return out
 
 
 def relu(a: TensorNode) -> TensorNode:
+    """max(a, 0). Backward masks with the output: y > 0 exactly where a > 0,
+    also for -0.0, NaN and infinities, so the input value need not be kept."""
     tape = a.tape
-    out = tape.tensor(np.maximum(a.value, 0.0))
+    y = np.maximum(a.value, 0.0)
+    out = tape.tensor(y)
+    ga, go = a._slot, out._slot
 
     def bwd():
-        a._add_grad(out.grad * (a.value > 0.0))
+        ga._add_grad(go.grad * (y > 0.0))
 
     tape._record(bwd)
     return out
 
 
 def sigmoid(a: TensorNode) -> TensorNode:
+    """1 / (1 + exp(-a)). Below a = -709.78 exp(-a) overflows to inf and the
+    value is its limit 0.0, so that overflow is not reported."""
     tape = a.tape
-    s = 1.0 / (1.0 + np.exp(-a.value))
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-a.value))
     out = tape.tensor(s)
+    ga, go = a._slot, out._slot
 
     def bwd():
-        a._add_grad(out.grad * s * (1.0 - s))
+        ga._add_grad(go.grad * s * (1.0 - s))
 
     tape._record(bwd)
     return out
@@ -181,10 +230,11 @@ def add_scaled(a: TensorNode, b: TensorNode, wa: float, wb: float) -> TensorNode
     if a.shape != b.shape:
         raise ValueError(f"add_scaled shape mismatch: {a.shape} vs {b.shape}")
     out = tape.tensor(wa * a.value + wb * b.value)
+    ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
-        a._add_grad(wa * out.grad)
-        b._add_grad(wb * out.grad)
+        ga._add_grad(wa * go.grad)
+        gb._add_grad(wb * go.grad)
 
     tape._record(bwd)
     return out
@@ -193,9 +243,10 @@ def add_scaled(a: TensorNode, b: TensorNode, wa: float, wb: float) -> TensorNode
 def scale(a: TensorNode, w: float) -> TensorNode:
     tape = a.tape
     out = tape.tensor(w * a.value)
+    ga, go = a._slot, out._slot
 
     def bwd():
-        a._add_grad(w * out.grad)
+        ga._add_grad(w * go.grad)
 
     tape._record(bwd)
     return out
@@ -207,10 +258,11 @@ def add_row_bias(a: TensorNode, bias: TensorNode) -> TensorNode:
     if bias.shape != (1, a.shape[1]):
         raise ValueError(f"bias shape {bias.shape} does not match columns of {a.shape}")
     out = tape.tensor(a.value + bias.value)
+    ga, gbias, go = a._slot, bias._slot, out._slot
 
     def bwd():
-        a._add_grad(out.grad.copy())
-        bias._add_grad(out.grad.sum(axis=0, keepdims=True))
+        ga._add_grad(go.grad.copy())
+        gbias._add_grad(go.grad.sum(axis=0, keepdims=True))
 
     tape._record(bwd)
     return out
@@ -220,11 +272,13 @@ def hadamard(a: TensorNode, b: TensorNode) -> TensorNode:
     tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    out = tape.tensor(a.value * b.value)
+    av, bv = a.value, b.value
+    out = tape.tensor(av * bv)
+    ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
-        a._add_grad(out.grad * b.value)
-        b._add_grad(out.grad * a.value)
+        ga._add_grad(go.grad * bv)
+        gb._add_grad(go.grad * av)
 
     tape._record(bwd)
     return out
@@ -236,10 +290,11 @@ def concat_cols(a: TensorNode, b: TensorNode) -> TensorNode:
         raise ValueError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
     out = tape.tensor(np.hstack([a.value, b.value]))
     split = a.shape[1]
+    ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
-        a._add_grad(out.grad[:, :split].copy())
-        b._add_grad(out.grad[:, split:].copy())
+        ga._add_grad(go.grad[:, :split].copy())
+        gb._add_grad(go.grad[:, split:].copy())
 
     tape._record(bwd)
     return out
@@ -253,10 +308,11 @@ def l2_normalize_rows(a: TensorNode) -> TensorNode:
         raise ValueError(f"cannot L2-normalize zero row {row}")
     y = a.value / r
     out = tape.tensor(y)
+    ga, go = a._slot, out._slot
 
     def bwd():
-        g = out.grad
-        a._add_grad((g - (g * y).sum(axis=1, keepdims=True) * y) / r)
+        g = go.grad
+        ga._add_grad((g - (g * y).sum(axis=1, keepdims=True) * y) / r)
 
     tape._record(bwd)
     return out
@@ -287,13 +343,14 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
     dtd = d.T @ d
     std = s.T @ d
     out = tape.tensor([[max(0.5 * (np.sum(sts * dtd) + np.sum(std * std.T)), 0.0)]])
+    ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
-        g = out.grad[0, 0]
+        g = go.grad[0, 0]
         p = d @ sts + s @ std.T
         q = d @ std + s @ dtd
-        a._add_grad(g * (p + q))
-        b._add_grad(g * (q - p))
+        ga._add_grad(g * (p + q))
+        gb._add_grad(g * (q - p))
 
     tape._record(bwd)
     return out
@@ -309,13 +366,15 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     if np.any(ra == 0.0) or np.any(rb == 0.0):
         raise ValueError("mean_row_cosine undefined on zero rows")
     n = a.shape[0]
-    cos = (a.value * b.value).sum(axis=1, keepdims=True) / (ra * rb)
+    av, bv = a.value, b.value
+    cos = (av * bv).sum(axis=1, keepdims=True) / (ra * rb)
     out = tape.tensor([[cos.sum() / n]])
+    ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
-        g = out.grad[0, 0] / n
-        a._add_grad(g * (b.value / (ra * rb) - cos * a.value / (ra * ra)))
-        b._add_grad(g * (a.value / (ra * rb) - cos * b.value / (rb * rb)))
+        g = go.grad[0, 0] / n
+        ga._add_grad(g * (bv / (ra * rb) - cos * av / (ra * ra)))
+        gb._add_grad(g * (av / (ra * rb) - cos * bv / (rb * rb)))
 
     tape._record(bwd)
     return out
@@ -342,9 +401,10 @@ def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
     row_sums = e.sum(axis=1, keepdims=True)
     loss = -np.sum(in_mask * y * (shifted - np.log(row_sums)))
     out = tape.tensor([[loss]])
+    gl, go = logits._slot, out._slot
 
     def bwd():
-        logits._add_grad(out.grad[0, 0] * in_mask * (e / row_sums - y))
+        gl._add_grad(go.grad[0, 0] * in_mask * (e / row_sums - y))
 
     tape._record(bwd)
     return out

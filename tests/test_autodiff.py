@@ -1,5 +1,6 @@
 import gc
 import inspect
+import warnings
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from benchmarks.tape_memory import step_memory
 from fusegcn import autodiff as ad
 from fusegcn.autodiff import Tape, TapeError, backward, finite_diff_check
 from fusegcn.graphs import normalized_adjacency
@@ -147,6 +149,31 @@ def masked_cross_entropy(pred, y_onehot, mask):
     return out
 
 
+def relu_input_mask(a):
+    """ReLU whose backward masks with its input, a > 0: the form `ad.relu`'s
+    output mask y > 0 replaces."""
+    tape = a.tape
+    out = tape.tensor(np.maximum(a.value, 0.0))
+
+    def bwd():
+        a._add_grad(out.grad * (a.value > 0.0))
+
+    tape._record(bwd)
+    return out
+
+
+def weighted_sum(node, w):
+    """sum(w * node) as a scalar tape op: sends the fixed gradient w to `node`."""
+    tape = node.tape
+    out = tape.tensor([[np.sum(w * node.value)]])
+
+    def bwd():
+        node._add_grad(out.grad[0, 0] * w)
+
+    tape._record(bwd)
+    return out
+
+
 def cross_entropy_of(build, logits, y, mask):
     """(loss, logits gradient) of `build(logits_node, y, mask)` on a fresh tape."""
     t = Tape()
@@ -217,6 +244,19 @@ class TestForwardValues:
         t = Tape()
         npt.assert_array_equal(ad.relu(t.tensor([[-1.0, 2.0]])).value, [[0.0, 2.0]])
         npt.assert_array_equal(ad.relu(t.tensor([[-5.0, -0.5]])).value, [[0.0, 0.0]])
+
+    def test_sigmoid_extremes(self):
+        # exp(-a) overflows below a = -709.78; the value is its limit, with no warning
+        x = np.array([[-1000.0, -710.0, 0.0, 710.0, 1000.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tape()
+            a = t.tensor(x)
+            out = ad.sigmoid(a)
+            backward(t, weighted_sum(out, np.ones_like(x)))
+        npt.assert_array_equal(out.value, [[0.0, 0.0, 0.5, 1.0, 1.0]])
+        assert np.all(np.isfinite(a.grad))
+        npt.assert_array_equal(a.grad[0, 2], 0.25)
 
     def test_add_scaled(self):
         t = Tape()
@@ -389,7 +429,7 @@ class TestBackwardMechanics:
         t.discard()
         with pytest.raises(TapeError, match="build a new tape"):
             backward(t, loss)
-        assert a._grad is None
+        assert a._slot._grad is None
 
     def test_discard_frees_the_tape(self):
         # a forward-only pass: its closures are dropped unrun, and reference
@@ -473,6 +513,72 @@ class TestBackwardMechanics:
         gg = tape_gradient(g_loss, [v.copy()])[0]
         gc = tape_gradient(combined, [v.copy()])[0]
         npt.assert_allclose(gc, gf + gg, rtol=1e-12)
+
+
+class TestReluOutputMask:
+    """`ad.relu` masks its backward with the output, `relu_input_mask` with the input."""
+
+    SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0]
+
+    @staticmethod
+    def value_and_grad(op, x, w):
+        t = Tape()
+        a = t.tensor(x.copy())
+        out = op(a)
+        backward(t, weighted_sum(out, w))
+        return out.value, a.grad
+
+    @pytest.mark.parametrize("case", ["special", "random"])
+    def test_bitwise_equal_to_input_mask(self, case):
+        rng = np.random.default_rng(3)
+        if case == "special":
+            x = np.array([self.SPECIAL])
+        else:
+            x = rng.standard_normal((16, 9))
+            x[rng.random(x.shape) < 0.2] = 0.0
+        w = rng.standard_normal(x.shape)
+        y, g = self.value_and_grad(ad.relu, x, w)
+        y_ref, g_ref = self.value_and_grad(relu_input_mask, x, w)
+        npt.assert_array_equal(y.view(np.int64), y_ref.view(np.int64))
+        npt.assert_array_equal(g.view(np.int64), g_ref.view(np.int64))
+        npt.assert_array_equal(g != 0.0, x > 0.0)
+
+
+class TestRetention:
+    """A closure keeps the arrays its backward formula reads, not whole nodes."""
+
+    def test_relu_frees_its_input(self):
+        t = Tape()
+        x = t.tensor(np.array([[-1.0, 2.0, 0.5], [3.0, -0.5, 0.0]]))
+        pre = ad.scale(x, 2.0)
+        y = ad.relu(pre)
+        freed = weakref.ref(pre.value)
+        del pre
+        assert freed() is None and len(t._backward_fns) == 2
+        backward(t, weighted_sum(y, np.ones(y.shape)))
+        npt.assert_array_equal(x.grad, 2.0 * (x.value > 0.0))
+
+    def test_add_scaled_frees_its_operands(self):
+        t = Tape()
+        x = t.tensor(np.arange(6.0).reshape(2, 3))
+        a, b = ad.scale(x, 2.0), ad.scale(x, 3.0)
+        out = ad.add_scaled(a, b, 0.5, -1.0)
+        freed = [weakref.ref(a.value), weakref.ref(b.value)]
+        del a, b
+        assert all(r() is None for r in freed) and len(t._backward_fns) == 3
+        backward(t, weighted_sum(out, np.ones(out.shape)))
+        npt.assert_array_equal(x.grad, np.full((2, 3), -2.0))
+
+    def test_full_model_step_memory(self):
+        # one unit is a float64 N x h matrix; the tape that kept every node
+        # alive measured 78.9 units after the forward pass and 87.8 at the
+        # backward peak for this configuration
+        n, hidden = 600, 64
+        live, peak = step_memory(n, d=16, c=5, hidden=hidden)
+        unit = n * hidden * 8
+        assert live / unit <= 42.0
+        assert peak / unit <= 50.0
 
 
 def random_shape(rng):
