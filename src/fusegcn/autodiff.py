@@ -57,16 +57,18 @@ class _GradSlot:
     """A node's gradient buffer: all a backward closure holds of a node it
     sends gradient to or reads the output gradient of."""
 
-    __slots__ = ("shape", "_grad")
+    __slots__ = ("shape", "dtype", "_grad")
 
-    def __init__(self, shape: tuple):
+    def __init__(self, shape: tuple, dtype: np.dtype):
         self.shape = shape
+        self.dtype = dtype
         self._grad = None
 
     @property
     def grad(self) -> np.ndarray:
-        """Accumulated gradient; zeros (not stored) before any contribution."""
-        return np.zeros(self.shape) if self._grad is None else self._grad
+        """Accumulated gradient; zeros of the value's shape and dtype (not
+        stored) before any contribution."""
+        return np.zeros(self.shape, self.dtype) if self._grad is None else self._grad
 
     def _add_grad(self, g: np.ndarray) -> None:
         """Accumulate `g`; the first contribution is stored, so it must not be
@@ -85,11 +87,11 @@ class TensorNode:
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
         self.tape = tape
-        self._slot = _GradSlot(value.shape)
+        self._slot = _GradSlot(value.shape, value.dtype)
 
     @property
     def shape(self):
-        return self.value.shape
+        return self._slot.shape
 
     @property
     def grad(self) -> np.ndarray:
