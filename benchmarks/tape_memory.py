@@ -12,10 +12,14 @@ figures of one training step:
 
 Both are printed in MiB and in units of N * h * 8 bytes (one float64 N x h
 matrix), which makes sizes comparable: the counts stay near constant in N.
-Set-up (graphs, adjacencies, parameters) happens before tracing starts. If
-tracing is already on (``-X tracemalloc``, ``PYTHONTRACEMALLOC`` or a caller
-that measures), it is left running, with its peak reset for the backward
-figure, and the figures are taken over it.
+The backward closures run one at a time, each with its own `tracemalloc`
+peak, so the report also names the operator whose backward sets the peak
+(from the closure's `__qualname__`) and how far that peak rises above the
+memory allocated when the closure started. Set-up (graphs, adjacencies,
+parameters) happens before tracing starts. If tracing is already on
+(``-X tracemalloc``, ``PYTHONTRACEMALLOC`` or a caller that measures), it is
+left running, with its peak reset for the backward figures, and the figures
+are taken over it.
 
 Run from the repository root:
 
@@ -25,6 +29,7 @@ Run from the repository root:
 import argparse
 import gc
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +43,35 @@ MIB = 2 ** 20
 N_FEATURES, N_CLASSES, HIDDEN, SEED = 16, 5, 64, 0
 
 
+class StepMemory(NamedTuple):
+    """One training step's memory, in bytes over the traced memory before it."""
+
+    live: int        # allocated once the forward pass has returned the loss
+    peak: int        # highest allocation during backward
+    peak_op: str     # the operator whose backward closure reached `peak`
+    peak_rise: int   # `peak` minus what was allocated when that closure started
+
+
 def unit_bytes(n: int) -> int:
     """One float64 n x HIDDEN matrix, the unit the figures are given in."""
     return n * HIDDEN * 8
 
 
-def step_memory(n: int) -> tuple[int, int]:
-    """(forward live set, backward peak) in bytes for one full-model step."""
+def _stepped(fn, log):
+    """`fn` wrapped to append (operator, start, peak) of its own run to `log`."""
+    op = fn.__qualname__.split(".")[0]
+
+    def run():
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        log.append((op, start, tracemalloc.get_traced_memory()[1]))
+
+    return run
+
+
+def step_memory(n: int) -> StepMemory:
+    """Forward live set and backward peak of one full-model step on N = `n`."""
     cfg = TrainConfig(hidden_dim=HIDDEN, seed=SEED)
     g = generate_synthetic(SynthSpec(n, N_CLASSES, n_features=N_FEATURES, seed=SEED))
     g_f = knn_feature_graph(g.features, cfg.knn_k)
@@ -58,13 +85,16 @@ def step_memory(n: int) -> tuple[int, int]:
         base = tracemalloc.get_traced_memory()[0]
         out = objective(params)
         live = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        backward(out.loss.tape, out.loss)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        tape, log = out.loss.tape, []
+        # each wrapper holds the only reference to its closure, so `backward`
+        # frees a closure's arrays right after it runs, as it does unwrapped
+        tape._backward_fns[:] = [_stepped(fn, log) for fn in tape._backward_fns]
+        backward(tape, out.loss)
     finally:
         if started:
             tracemalloc.stop()
-    return live, peak
+    op, start, peak = max(log, key=lambda entry: entry[2])
+    return StepMemory(live, peak - base, op, peak - start)
 
 
 def main():
@@ -72,12 +102,14 @@ def main():
     ap.add_argument("--nodes", type=int, nargs="+", default=[600, 2000, 3327])
     args = ap.parse_args()
 
-    print(f"{'N':>6s} {'forward MiB':>12s} {'units':>7s} {'backward MiB':>13s} {'units':>7s}")
+    print(f"{'N':>6s} {'forward MiB':>12s} {'units':>7s} {'backward MiB':>13s} {'units':>7s}"
+          f"  peak in (units above its start)")
     for n in args.nodes:
-        live, peak = step_memory(n)
+        m = step_memory(n)
         unit = unit_bytes(n)
-        print(f"{n:>6d} {live / MIB:>12.1f} {live / unit:>7.1f} "
-              f"{peak / MIB:>13.1f} {peak / unit:>7.1f}")
+        print(f"{n:>6d} {m.live / MIB:>12.1f} {m.live / unit:>7.1f} "
+              f"{m.peak / MIB:>13.1f} {m.peak / unit:>7.1f}  "
+              f"{m.peak_op} (+{m.peak_rise / unit:.1f})")
 
 
 if __name__ == "__main__":

@@ -15,20 +15,24 @@ unchanged hands over a copy. Reading ``grad`` on a node that received no
 gradient gives zeros of its shape, allocated for that read only.
 
 A backward closure holds the gradient slots of its operands and output and
-the arrays its formula reads, never a node. So a node's value is freed as
-soon as the forward code drops the node, unless some closure reads it, and
-a step's memory until backward is what backward needs:
+the smallest arrays its formula can be computed from, never a node. So a
+node's value is freed as soon as the forward code drops the node, unless some
+closure reads it, and a step's memory until backward is what backward needs:
 - ``matmul`` and ``hadamard`` keep both operand values, ``spmm`` its sparse
-  constant;
-- ``sigmoid`` and ``relu`` keep their output (``relu`` masks with
-  ``y > 0``, which equals ``a > 0`` for every input, so its input is freed);
-- ``add_scaled``, ``scale``, ``add_row_bias`` and ``concat_cols`` keep no
-  array;
+  constant, ``matmul_cat`` its three operand values (backward rebuilds the
+  concatenation);
+- ``relu`` keeps the bool mask ``y > 0``, one byte per element (it equals
+  ``a > 0`` for every input), so its input and its float output are freed;
+  ``sigmoid`` keeps its output;
+- ``add_scaled``, ``scale`` and ``add_row_bias`` keep no array;
 - ``l2_normalize_rows`` keeps its output and the row norms,
-  ``gram_distance_sq`` its h x h products and the difference and sum,
-  ``mean_row_cosine`` both operands, the norms and the cosines, and
-  ``softmax_cross_entropy`` the exponentials, their row sums, the labels and
-  the mask.
+  ``gram_distance_sq`` its h x h products and its two operand values
+  (backward rebuilds their difference and sum), ``mean_row_cosine`` both
+  operands, the norms and the cosines, and ``softmax_cross_entropy`` the
+  exponentials, their row sums, the labels and the mask.
+
+Rebuilding an array repeats the forward pass's floating-point operations, so
+a gradient's bits do not depend on what its closure keeps.
 
 Constant operands (the sparse adjacency, the sparse feature matrix) are not
 nodes: ``spmm`` takes them as plain scipy CSR matrices and sends gradient to
@@ -43,7 +47,7 @@ of a loss-only function against the gradients the caller passes in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,15 +200,17 @@ def spmm(p: sp.csr_array, h: TensorNode) -> TensorNode:
 
 
 def relu(a: TensorNode) -> TensorNode:
-    """max(a, 0). Backward masks with the output: y > 0 exactly where a > 0,
-    also for -0.0, NaN and infinities, so the input value need not be kept."""
+    """max(a, 0). Backward keeps only the bool mask y > 0, one byte per
+    element: it is true exactly where a > 0, also for -0.0, NaN and
+    infinities, so neither the input nor the float output need be kept."""
     tape = a.tape
     y = np.maximum(a.value, 0.0)
+    mask = y > 0.0
     out = tape.tensor(y)
     ga, go = a._slot, out._slot
 
     def bwd():
-        ga._add_grad(go.grad * (y > 0.0))
+        ga._add_grad(go.grad * mask)
 
     tape._record(bwd)
     return out
@@ -286,29 +292,74 @@ def hadamard(a: TensorNode, b: TensorNode) -> TensorNode:
     return out
 
 
-def concat_cols(a: TensorNode, b: TensorNode) -> TensorNode:
-    tape = _same_tape(a, b)
+def matmul_cat(a: TensorNode, b: TensorNode, w: TensorNode) -> TensorNode:
+    """[a | b] @ w, the column concatenation of a and b times w.
+
+    Backward keeps a, b and w and rebuilds the concatenation, so no copy of
+    a and b stays on the tape; where another closure keeps them too (the
+    disparity loss keeps the common encoder's outputs), this op keeps nothing
+    of its own.
+    """
+    tape = _same_tape(a, b, w)
     if a.shape[0] != b.shape[0]:
-        raise ValueError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    out = tape.tensor(np.hstack([a.value, b.value]))
+        raise ValueError(f"matmul_cat row mismatch: {a.shape} vs {b.shape}")
     split = a.shape[1]
-    ga, gb, go = a._slot, b._slot, out._slot
+    if split + b.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul_cat shape mismatch: [{a.shape} | {b.shape}] @ {w.shape}")
+    av, bv, wv = a.value, b.value, w.value
+    out = tape.tensor(np.hstack([av, bv]) @ wv)
+    ga, gb, gw, go = a._slot, b._slot, w._slot, out._slot
 
     def bwd():
-        ga._add_grad(go.grad[:, :split].copy())
-        gb._add_grad(go.grad[:, split:].copy())
+        gw._add_grad(np.hstack([av, bv]).T @ go.grad)
+        g_cat = go.grad @ wv.T
+        ga._add_grad(g_cat[:, :split].copy())
+        gb._add_grad(g_cat[:, split:].copy())
 
     tape._record(bwd)
     return out
 
 
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
+
+def _normal(x: np.ndarray) -> np.ndarray:
+    """Whether each entry is a positive normal float64: not 0, subnormal,
+    infinite or NaN."""
+    return (x >= _TINY) & (x <= _HUGE)
+
+
+def _sum_sq_rows(v: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, bit-equal to `np.linalg.norm(v, axis=1) ** 2`
+    before its square root; it may overflow to inf, which is not reported."""
+    with np.errstate(over="ignore"):
+        return np.add.reduce(v * v, axis=1, keepdims=True)
+
+
 def l2_normalize_rows(a: TensorNode) -> TensorNode:
+    """Each row over its L2 norm; rows must be nonzero.
+
+    A finite row whose sum of squares is not a positive normal float64 (its
+    squares underflow or overflow) is divided by its largest absolute entry
+    first, so its output and norm keep full precision. Every other row is
+    a / ||a|| bit for bit; a row with a non-finite entry gives NaN or inf.
+    """
     tape = a.tape
-    r = np.linalg.norm(a.value, axis=1, keepdims=True)
-    if np.any(r == 0.0):
-        row = int(np.flatnonzero(r[:, 0] == 0.0)[0])
-        raise ValueError(f"cannot L2-normalize zero row {row}")
-    y = a.value / r
+    v = a.value
+    ss = _sum_sq_rows(v)
+    r = np.sqrt(ss)
+    odd = np.flatnonzero(~_normal(ss[:, 0]))
+    if odd.size:
+        odd = odd[np.isfinite(v[odd]).all(axis=1)]
+        peaks = np.abs(v[odd]).max(axis=1, keepdims=True, initial=0.0)
+        if np.any(peaks == 0.0):
+            raise ValueError(f"cannot L2-normalize zero row {odd[peaks[:, 0] == 0.0][0]}")
+        scaled = v[odd] / peaks
+        r_scaled = np.linalg.norm(scaled, axis=1, keepdims=True)
+        r[odd] = peaks * r_scaled
+    y = v / r
+    if odd.size:
+        y[odd] = scaled / r_scaled
     out = tape.tensor(y)
     ga, go = a._slot, out._slot
 
@@ -334,13 +385,16 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
 
     The gradient 4 (a a^T - b b^T) a = 2 (D S^T a + S D^T a), and its b
     counterpart, reuse the forward products through a = (S + D) / 2 and
-    b = (S - D) / 2.
+    b = (S - D) / 2. Backward keeps the h x h products and rebuilds D and S
+    from a and b, whose values it references (in the closeness loss they are
+    `l2_normalize_rows` outputs, which that op keeps anyway).
     """
     tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"gram_distance_sq shape mismatch: {a.shape} vs {b.shape}")
-    d = a.value - b.value
-    s = a.value + b.value
+    av, bv = a.value, b.value
+    d = av - bv
+    s = av + bv
     sts = s.T @ s
     dtd = d.T @ d
     std = s.T @ d
@@ -349,34 +403,56 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
 
     def bwd():
         g = go.grad[0, 0]
-        p = d @ sts + s @ std.T
-        q = d @ std + s @ dtd
-        ga._add_grad(g * (p + q))
-        gb._add_grad(g * (q - p))
+        d = av - bv
+        p = d @ sts
+        q = d @ std
+        del d
+        s = av + bv
+        p += s @ std.T
+        q += s @ dtd
+        del s
+        qp = q - p
+        p += q
+        p *= g
+        qp *= g
+        ga._add_grad(p)
+        gb._add_grad(qp)
 
     tape._record(bwd)
     return out
 
 
 def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
-    """(1/N) * sum_i cos(a_i, b_i) as a scalar node; rows must be nonzero."""
+    """(1/N) * sum_i cos(a_i, b_i) as a scalar node.
+
+    Each row's squared norms must be positive normal float64s, so that
+    neither the value nor the gradient overflows or loses precision to
+    subnormals; the norm product then lies between them and is normal too.
+    Otherwise a ValueError names the first such row.
+    A row with a non-finite entry is not checked and gives a NaN value.
+    """
     tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"mean_row_cosine shape mismatch: {a.shape} vs {b.shape}")
-    ra = np.linalg.norm(a.value, axis=1, keepdims=True)
-    rb = np.linalg.norm(b.value, axis=1, keepdims=True)
-    if np.any(ra == 0.0) or np.any(rb == 0.0):
-        raise ValueError("mean_row_cosine undefined on zero rows")
-    n = a.shape[0]
     av, bv = a.value, b.value
-    cos = (av * bv).sum(axis=1, keepdims=True) / (ra * rb)
+    ssa, ssb = _sum_sq_rows(av), _sum_sq_rows(bv)
+    bad = np.flatnonzero(~(_normal(ssa) & _normal(ssb))[:, 0])
+    bad = bad[np.isfinite(av[bad]).all(axis=1) & np.isfinite(bv[bad]).all(axis=1)]
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"mean_row_cosine undefined on row {i}: its squared norms "
+                         f"{ssa[i, 0]:.3e} and {ssb[i, 0]:.3e} leave float64's normal range")
+    ra, rb = np.sqrt(ssa), np.sqrt(ssb)
+    rab = ra * rb
+    n = a.shape[0]
+    cos = (av * bv).sum(axis=1, keepdims=True) / rab
     out = tape.tensor([[cos.sum() / n]])
     ga, gb, go = a._slot, b._slot, out._slot
 
     def bwd():
         g = go.grad[0, 0] / n
-        ga._add_grad(g * (bv / (ra * rb) - cos * av / (ra * ra)))
-        gb._add_grad(g * (av / (ra * rb) - cos * bv / (rb * rb)))
+        ga._add_grad(g * (bv / rab - cos * av / (ra * ra)))
+        gb._add_grad(g * (av / rab - cos * bv / (rb * rb)))
 
     tape._record(bwd)
     return out
@@ -416,6 +492,18 @@ def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
+def _rel_error(x: float, y: float) -> float | None:
+    """|x - y| / max(|x|, |y|); None where both magnitudes fall below 1e-6,
+    where a difference quotient is dominated by cancellation noise."""
+    denom = max(abs(x), abs(y))
+    return abs(x - y) / denom if denom >= 1e-6 else None
+
+
+def _agree(x: float, y: float, tolerance: float) -> bool:
+    err = _rel_error(x, y)
+    return err is None or err <= tolerance
+
+
 @dataclass
 class FiniteDiffEntry:
     name: str
@@ -424,12 +512,17 @@ class FiniteDiffEntry:
     worst_index: tuple | None = None   # coordinate of max_rel_error; None if all matched
     worst_fd: float = 0.0              # its difference quotient
     worst_grad: float = 0.0            # and the gradient it was compared with
+    # (index, forward quotient, backward quotient, gradient) of each kink
+    kinks: list[tuple] = field(default_factory=list)
 
     def __str__(self):
         at = "" if self.worst_index is None else \
             f" at {self.worst_index} fd={self.worst_fd:.6e} grad={self.worst_grad:.6e}"
-        return (f"{self.name:<16s} coords={self.n_coords:<6d} "
-                f"max_rel_error={self.max_rel_error:.3e}{at}")
+        lines = [f"{self.name:<16s} coords={self.n_coords:<6d} "
+                 f"max_rel_error={self.max_rel_error:.3e}{at}"]
+        lines += [f"{'':<16s} kink at {idx} forward fd={fwd:.6e} backward fd={bwd:.6e} "
+                  f"grad={g:.6e}" for idx, fwd, bwd, g in self.kinks]
+        return "\n".join(lines)
 
 
 @dataclass
@@ -443,8 +536,10 @@ class FiniteDiffReport:
     def __str__(self):
         lines = [str(e) for e in self.entries]
         verdict = "PASS" if self.passed else "FAIL"
+        n_kinks = sum(len(e.kinks) for e in self.entries)
+        kinks = f" ({n_kinks} kink{'s' if n_kinks > 1 else ''} excluded)" if n_kinks else ""
         lines.append(f"overall max_rel_error={self.max_rel_error:.3e} "
-                     f"tolerance={self.tolerance:.1e} -> {verdict}")
+                     f"tolerance={self.tolerance:.1e} -> {verdict}{kinks}")
         return "\n".join(lines)
 
 
@@ -458,6 +553,13 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
     fall below 1e-6 count as matched, since there the difference quotient is
     dominated by cancellation noise. A non-finite difference quotient or
     gradient counts as relative error inf. Each entry names its worst coordinate.
+
+    A coordinate over `tolerance` is a kink, not an error, when the loss has a
+    kink (a ReLU switching, say) within eps of it: the forward and backward
+    quotients (L(x + eps) - L(x)) / eps and (L(x) - L(x - eps)) / eps differ by
+    more than `tolerance`, and the gradient matches one of them within
+    `tolerance`. Kinks are listed with both quotients and left out of
+    max_rel_error. A wrong gradient matches neither side, so it still fails.
     Raises ValueError unless `eps` is finite and positive.
     """
     if not (np.isfinite(eps) and eps > 0):
@@ -465,6 +567,7 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
     if param_names is None:
         param_names = [f"param{i}" for i in range(len(params))]
     entries = []
+    l0 = None
     for p, g, name in zip(params, grads, param_names):
         entry = FiniteDiffEntry(name, 0.0, int(np.prod(p.shape)))
         for idx in np.ndindex(p.shape):
@@ -475,13 +578,20 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
             lm = loss_fn(params)
             p[idx] = orig
             fd = (lp - lm) / (2.0 * eps)
-            denom = max(abs(fd), abs(g[idx]))
             if not (np.isfinite(fd) and np.isfinite(g[idx])):
                 err = np.inf
-            elif denom >= 1e-6:
-                err = abs(fd - g[idx]) / denom
             else:
-                continue
+                err = _rel_error(fd, g[idx])
+                if err is None:
+                    continue
+                if err > tolerance:
+                    if l0 is None:
+                        l0 = loss_fn(params)
+                    fwd, bwd = (lp - l0) / eps, (l0 - lm) / eps
+                    if (not _agree(fwd, bwd, tolerance)
+                            and (_agree(fwd, g[idx], tolerance) or _agree(bwd, g[idx], tolerance))):
+                        entry.kinks.append((idx, fwd, bwd, g[idx]))
+                        continue
             if entry.worst_index is None or err > entry.max_rel_error:
                 entry.max_rel_error, entry.worst_index = err, idx
                 entry.worst_fd, entry.worst_grad = fd, g[idx]

@@ -118,8 +118,7 @@ def common_encoder(p_t, p_f, h_anchor, z_t, z_f, w0, w1, leaves, mix: float,
     """Shared-weight encoder over both views plus the linear combiner."""
     z_ct = encoder_forward(p_t, common_input(h_anchor, z_t, mix), w0, w1, prop_weight)
     z_cf = encoder_forward(p_f, common_input(h_anchor, z_f, mix), w0, w1, prop_weight)
-    stacked = ad.concat_cols(z_ct, z_cf)
-    z_c = ad.add_row_bias(ad.matmul(stacked, leaves["comb_w0"]), leaves["comb_b0"])
+    z_c = ad.add_row_bias(ad.matmul_cat(z_ct, z_cf, leaves["comb_w0"]), leaves["comb_b0"])
     return z_ct, z_cf, z_c
 
 
@@ -141,7 +140,7 @@ def attention_fuse(z_t, z_f, z_c, leaves):
 
 def predict(z_tilde_t, z_tilde_f, w, b):
     """Class logits: the linear head on the concatenated fused views."""
-    return ad.add_row_bias(ad.matmul(ad.concat_cols(z_tilde_t, z_tilde_f), w), b)
+    return ad.add_row_bias(ad.matmul_cat(z_tilde_t, z_tilde_f, w), b)
 
 
 def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p_f: sp.csr_array,

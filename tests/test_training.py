@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from fusegcn.graphs import knn_feature_graph, normalized_adjacency
 from fusegcn.heterophily import SynthSpec, generate_synthetic
 from fusegcn.losses import LossWeights
+from fusegcn import autodiff as ad
 from fusegcn import model as M
 from fusegcn.autodiff import Tape, backward
 from fusegcn import training
@@ -334,6 +335,64 @@ class TestFinalPass:
         assert trace.final_accuracy == best.test_acc
         assert (trace.final_accuracy, trace.final_macro_f1) == \
             evaluate(test_preds[trace.best_epoch - 1], g.labels, split.test)
+
+
+def relu_scaled_backward(a):
+    """ReLU whose backward is 1.01 times the true one."""
+    tape = a.tape
+    y = np.maximum(a.value, 0.0)
+    out = tape.tensor(y)
+
+    def bwd():
+        a._add_grad(1.01 * out.grad * (y > 0.0))
+
+    tape._record(bwd)
+    return out
+
+
+def cosine_missing_term(a, b):
+    """Mean row cosine whose gradient for `a` lacks its -cos a / |a|^2 term."""
+    tape = a.tape
+    av, bv = a.value, b.value
+    ra = np.linalg.norm(av, axis=1, keepdims=True)
+    rb = np.linalg.norm(bv, axis=1, keepdims=True)
+    n = av.shape[0]
+    cos = (av * bv).sum(axis=1, keepdims=True) / (ra * rb)
+    out = tape.tensor([[cos.sum() / n]])
+
+    def bwd():
+        g = out.grad[0, 0] / n
+        a._add_grad(g * bv / (ra * rb))
+        b._add_grad(g * (av / (ra * rb) - cos * bv / (rb * rb)))
+
+    tape._record(bwd)
+    return out
+
+
+class TestReluKink:
+    """`fusegcn gradcheck` at prop_weight = 0.6 (seed 1, default sizes): an
+    attention ReLU's pre-activation lies within eps of 0 at att_c_b1 (0, 7),
+    so the central difference there averages the two sides of the kink."""
+
+    CFG = TrainConfig(prop_weight=0.6)
+
+    def test_kink_is_listed_not_failed(self):
+        report = model_gradient_check(seed=1, cfg=self.CFG)
+        assert report.passed, str(report)
+        kinks = [(e.name, *k) for e in report.entries for k in e.kinks]
+        assert len(kinks) == 1
+        name, idx, fwd, bwd, grad = kinks[0]
+        assert (name, idx) == ("att_c_b1", (0, 7))
+        assert grad == pytest.approx(bwd, rel=1e-6) and fwd < 0.0 < grad
+        assert "kink at (0, 7) forward fd=" in str(report)
+        assert str(report).endswith("-> PASS (1 kink excluded)")
+
+    @pytest.mark.parametrize("op, mutant", [("relu", relu_scaled_backward),
+                                            ("mean_row_cosine", cosine_missing_term)])
+    def test_wrong_backward_still_fails(self, monkeypatch, op, mutant):
+        monkeypatch.setattr(ad, op, mutant)
+        report = model_gradient_check(seed=1, cfg=self.CFG)
+        assert not report.passed
 
 
 class TestModelGradientCheck:
