@@ -12,10 +12,10 @@ figures of one training step:
 
 Both are printed in MiB and in units of N * h * 8 bytes (one float64 N x h
 matrix), which makes sizes comparable: the counts stay near constant in N.
-The backward closures run one at a time, each with its own `tracemalloc`
-peak, so the report also names the operator whose backward sets the peak
-(from the closure's `__qualname__`) and how far that peak rises above the
-memory allocated when the closure started. Set-up (graphs, adjacencies,
+The tape's vector-Jacobian products (VJPs) run one at a time, each with its
+own `tracemalloc` peak, so the report also names the operator whose VJP sets
+the peak (from the VJP's `__qualname__`) and how far that peak rises above
+the memory allocated when the VJP started. Set-up (graphs, adjacencies,
 parameters) happens before tracing starts. If tracing is already on
 (``-X tracemalloc``, ``PYTHONTRACEMALLOC`` or a caller that measures), it is
 left running, with its peak reset for the backward figures, and the figures
@@ -48,8 +48,8 @@ class StepMemory(NamedTuple):
 
     live: int        # allocated once the forward pass has returned the loss
     peak: int        # highest allocation during backward
-    peak_op: str     # the operator whose backward closure reached `peak`
-    peak_rise: int   # `peak` minus what was allocated when that closure started
+    peak_op: str     # the operator whose VJP reached `peak`
+    peak_rise: int   # `peak` minus what was allocated when that VJP started
 
 
 def unit_bytes(n: int) -> int:
@@ -57,15 +57,16 @@ def unit_bytes(n: int) -> int:
     return n * HIDDEN * 8
 
 
-def _stepped(fn, log):
-    """`fn` wrapped to append (operator, start, peak) of its own run to `log`."""
-    op = fn.__qualname__.split(".")[0]
+def _stepped(vjp, log):
+    """`vjp` wrapped to append (operator, start, peak) of its own run to `log`."""
+    op = vjp.__qualname__.split(".")[0]
 
-    def run():
+    def run(g):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn()
+        grads = vjp(g)
         log.append((op, start, tracemalloc.get_traced_memory()[1]))
+        return grads
 
     return run
 
@@ -86,9 +87,10 @@ def step_memory(n: int) -> StepMemory:
         out = objective(params)
         live = tracemalloc.get_traced_memory()[0] - base
         tape, log = out.loss.tape, []
-        # each wrapper holds the only reference to its closure, so `backward`
-        # frees a closure's arrays right after it runs, as it does unwrapped
-        tape._backward_fns[:] = [_stepped(fn, log) for fn in tape._backward_fns]
+        # each wrapper holds the only reference to its VJP, so `backward`
+        # frees a VJP's arrays right after its entry runs, as it does unwrapped
+        tape._entries[:] = [(_stepped(vjp, log), slots, out_slot)
+                            for vjp, slots, out_slot in tape._entries]
         backward(tape, out.loss)
     finally:
         if started:

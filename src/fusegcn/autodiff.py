@@ -1,38 +1,42 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
-A ``Tape`` records one backward closure per operation. ``backward`` replays
-the closures in exact reverse order and consumes them; a forward-only pass
-ends with ``Tape.discard``, which drops them unrun. Either way the tape then
-holds no node, so reference counting frees a step's arrays as soon as the
-caller drops its nodes, and a later ``backward`` on the same tape is an
-error. All values are 2-D float64 arrays; scalars are (1, 1). A tape is
-single-owner: one step builds and consumes (or discards) one tape.
+A ``Tape`` records one entry per operation: the operation's vector-Jacobian
+product (VJP), the gradient slots of its input nodes and the slot of its
+output. Every operator computes its value and ends in ``_op``, the one place
+that records. ``backward`` pops the entries in exact reverse order, calls each
+VJP on its output's gradient g and adds the i-th array it returns into the
+i-th input's slot; a forward-only pass ends with ``Tape.discard``, which drops
+the entries unrun. Either way the tape then holds no node, so reference
+counting frees a step's arrays as soon as the caller drops its nodes, and a
+later ``backward`` on the same tape is an error. All values are 2-D float64
+arrays; scalars are (1, 1). A tape is single-owner: one step builds and
+consumes (or discards) one tape.
 
-Gradients live in per-node gradient slots and are allocated lazily. A
-node's first gradient contribution becomes its slot's buffer and later ones
-are added into it, so an operator passing its output gradient through
-unchanged hands over a copy. Reading ``grad`` on a node that received no
+Gradients live in per-node gradient slots and are allocated lazily. A slot's
+first gradient becomes its buffer and later ones are added into it in place,
+so a VJP returns one fresh array per input, never g itself or an array it
+also returns for another input. Reading ``grad`` on a node that received no
 gradient gives zeros of its shape, allocated for that read only.
 
-A backward closure holds the gradient slots of its operands and output and
-the smallest arrays its formula can be computed from, never a node. So a
-node's value is freed as soon as the forward code drops the node, unless some
-closure reads it, and a step's memory until backward is what backward needs:
-- ``matmul`` and ``hadamard`` keep both operand values, ``spmm`` its sparse
-  constant, ``matmul_cat`` its three operand values (backward rebuilds the
+A VJP binds only the smallest arrays its formula can be computed from, never
+a node, tape or slot. So a node's value is freed as soon as the forward code
+drops the node, unless some VJP reads it, and a step's memory until backward
+is what backward needs:
+- ``matmul`` and ``hadamard`` bind both operand values, ``spmm`` its sparse
+  constant, ``matmul_cat`` its three operand values (its VJP rebuilds the
   concatenation);
-- ``relu`` keeps the bool mask ``y > 0``, one byte per element (it equals
+- ``relu`` binds the bool mask ``y > 0``, one byte per element (it equals
   ``a > 0`` for every input), so its input and its float output are freed;
-  ``sigmoid`` keeps its output;
-- ``add_scaled``, ``scale`` and ``add_row_bias`` keep no array;
-- ``l2_normalize_rows`` keeps its output and the row norms,
-  ``gram_distance_sq`` its h x h products and its two operand values
-  (backward rebuilds their difference and sum), ``mean_row_cosine`` both
-  operands, the norms and the cosines, and ``softmax_cross_entropy`` the
-  exponentials, their row sums, the labels and the mask.
+  ``sigmoid`` binds its output;
+- ``add_scaled``, ``scale`` and ``add_row_bias`` bind no array;
+- ``l2_normalize_rows`` binds its output and the row norms,
+  ``gram_distance_sq`` its h x h products and its two operand values (its
+  VJP rebuilds their difference and sum), ``mean_row_cosine`` both operands,
+  the norms and the cosines, and ``softmax_cross_entropy`` the exponentials,
+  their row sums, the labels and the mask.
 
 Rebuilding an array repeats the forward pass's floating-point operations, so
-a gradient's bits do not depend on what its closure keeps.
+a gradient's bits do not depend on what its VJP binds.
 
 Constant operands (the sparse adjacency, the sparse feature matrix) are not
 nodes: ``spmm`` takes them as plain scipy CSR matrices and sends gradient to
@@ -58,8 +62,8 @@ class TapeError(RuntimeError):
 
 
 class _GradSlot:
-    """A node's gradient buffer: all a backward closure holds of a node it
-    sends gradient to or reads the output gradient of."""
+    """A node's gradient buffer: all the tape holds of a node it sends
+    gradient to or reads the output gradient of."""
 
     __slots__ = ("shape", "dtype", "_grad")
 
@@ -73,14 +77,6 @@ class _GradSlot:
         """Accumulated gradient; zeros of the value's shape and dtype (not
         stored) before any contribution."""
         return np.zeros(self.shape, self.dtype) if self._grad is None else self._grad
-
-    def _add_grad(self, g: np.ndarray) -> None:
-        """Accumulate `g`; the first contribution is stored, so it must not be
-        a buffer another node owns."""
-        if self._grad is None:
-            self._grad = g
-        else:
-            self._grad += g
 
 
 class TensorNode:
@@ -102,9 +98,6 @@ class TensorNode:
         """Accumulated gradient; zeros (not stored) before any contribution."""
         return self._slot.grad
 
-    def _add_grad(self, g: np.ndarray) -> None:
-        self._slot._add_grad(g)
-
     def item(self) -> float:
         if self.value.shape != (1, 1):
             raise ValueError("item() requires a scalar node")
@@ -115,7 +108,7 @@ class Tape:
     """Ordered record of operations; replayed in reverse by backward()."""
 
     def __init__(self):
-        self._backward_fns = []
+        self._entries = []   # (vjp, input slots, output slot) per operation
         self._used = False
 
     def tensor(self, value) -> TensorNode:
@@ -125,28 +118,35 @@ class Tape:
             raise ValueError(f"tape values must be 2-D, got shape {v.shape}")
         return TensorNode(v, self)
 
-    def _record(self, backward_fn):
-        self._backward_fns.append(backward_fn)
-
     def discard(self) -> None:
-        """End a forward-only pass: drop the closures unrun, so the tape holds
+        """End a forward-only pass: drop the entries unrun, so the tape holds
         no node and a later `backward` raises TapeError."""
         self._used = True
-        self._backward_fns.clear()
+        self._entries.clear()
 
 
-def _same_tape(*nodes) -> Tape:
-    tape = nodes[0].tape
-    for n in nodes[1:]:
-        if n.tape is not tape:
+def _op(value, vjp, *inputs) -> TensorNode:
+    """Record one operation on the inputs' tape and return its output node.
+
+    `value` becomes the output's value; `vjp(g)` maps the output gradient g
+    to one fresh array per input, binding arrays only (see the module
+    docstring).
+    """
+    tape = inputs[0].tape
+    slots = []
+    for x in inputs:
+        if x.tape is not tape:
             raise TapeError("nodes belong to different tapes")
-    return tape
+        slots.append(x._slot)
+    out = tape.tensor(value)
+    tape._entries.append((vjp, slots, out._slot))
+    return out
 
 
 def backward(tape: Tape, loss: TensorNode) -> None:
     """Populate grads of every node reachable from `loss` (a scalar node).
 
-    Each closure is dropped as it runs, so the tape ends empty.
+    Each entry is dropped as it runs, so the tape ends empty.
     """
     if loss.tape is not tape:
         raise TapeError("loss node does not belong to this tape")
@@ -156,168 +156,102 @@ def backward(tape: Tape, loss: TensorNode) -> None:
         raise TapeError("this tape was already consumed or discarded; build a new tape")
     tape._used = True
     loss._slot._grad = np.ones((1, 1))
-    fns = tape._backward_fns
-    while fns:
-        fns.pop()()
+    entries = tape._entries
+    while entries:
+        vjp, slots, out = entries.pop()
+        for slot, g in zip(slots, vjp(out.grad)):
+            if slot._grad is None:
+                slot._grad = g
+            else:
+                slot._grad += g
+        del slot, g   # the last gradient added must not outlive its entry
 
 
 # ---------------------------------------------------------------------------
 # operators
 #
-# Each closure binds the slots it reads or writes (`ga` for `a`'s, `go` for
-# the output's) and the arrays its formula reads, never a node.
+# Each operator checks its shapes, computes its value and returns
+# `_op(value, vjp, *inputs)`; its VJP binds the arrays the formula reads.
 # ---------------------------------------------------------------------------
 
 def matmul(a: TensorNode, b: TensorNode) -> TensorNode:
-    tape = _same_tape(a, b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
-    out = tape.tensor(av @ bv)
-    ga, gb, go = a._slot, b._slot, out._slot
-
-    def bwd():
-        ga._add_grad(go.grad @ bv.T)
-        gb._add_grad(av.T @ go.grad)
-
-    tape._record(bwd)
-    return out
+    return _op(av @ bv, lambda g: (g @ bv.T, av.T @ g), a, b)
 
 
 def spmm(p: sp.csr_array, h: TensorNode) -> TensorNode:
     """Sparse-constant @ dense-node product; gradient flows through `h` only."""
-    tape = h.tape
     if p.shape[1] != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {p.shape} @ {h.shape}")
-    out = tape.tensor(p @ h.value)
-    gh, go = h._slot, out._slot
-
-    def bwd():
-        gh._add_grad(p.T @ go.grad)
-
-    tape._record(bwd)
-    return out
+    return _op(p @ h.value, lambda g: (p.T @ g,), h)
 
 
 def relu(a: TensorNode) -> TensorNode:
-    """max(a, 0). Backward keeps only the bool mask y > 0, one byte per
+    """max(a, 0). The VJP binds only the bool mask y > 0, one byte per
     element: it is true exactly where a > 0, also for -0.0, NaN and
     infinities, so neither the input nor the float output need be kept."""
-    tape = a.tape
     y = np.maximum(a.value, 0.0)
     mask = y > 0.0
-    out = tape.tensor(y)
-    ga, go = a._slot, out._slot
-
-    def bwd():
-        ga._add_grad(go.grad * mask)
-
-    tape._record(bwd)
-    return out
+    return _op(y, lambda g: (g * mask,), a)
 
 
 def sigmoid(a: TensorNode) -> TensorNode:
     """1 / (1 + exp(-a)). Below a = -709.78 exp(-a) overflows to inf and the
     value is its limit 0.0, so that overflow is not reported."""
-    tape = a.tape
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.value))
-    out = tape.tensor(s)
-    ga, go = a._slot, out._slot
-
-    def bwd():
-        ga._add_grad(go.grad * s * (1.0 - s))
-
-    tape._record(bwd)
-    return out
+    return _op(s, lambda g: (g * s * (1.0 - s),), a)
 
 
 def add_scaled(a: TensorNode, b: TensorNode, wa: float, wb: float) -> TensorNode:
     """wa * a + wb * b, same shapes."""
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"add_scaled shape mismatch: {a.shape} vs {b.shape}")
-    out = tape.tensor(wa * a.value + wb * b.value)
-    ga, gb, go = a._slot, b._slot, out._slot
-
-    def bwd():
-        ga._add_grad(wa * go.grad)
-        gb._add_grad(wb * go.grad)
-
-    tape._record(bwd)
-    return out
+    return _op(wa * a.value + wb * b.value, lambda g: (wa * g, wb * g), a, b)
 
 
 def scale(a: TensorNode, w: float) -> TensorNode:
-    tape = a.tape
-    out = tape.tensor(w * a.value)
-    ga, go = a._slot, out._slot
-
-    def bwd():
-        ga._add_grad(w * go.grad)
-
-    tape._record(bwd)
-    return out
+    return _op(w * a.value, lambda g: (w * g,), a)
 
 
 def add_row_bias(a: TensorNode, bias: TensorNode) -> TensorNode:
     """a + bias with bias of shape (1, cols), broadcast over rows."""
-    tape = _same_tape(a, bias)
     if bias.shape != (1, a.shape[1]):
         raise ValueError(f"bias shape {bias.shape} does not match columns of {a.shape}")
-    out = tape.tensor(a.value + bias.value)
-    ga, gbias, go = a._slot, bias._slot, out._slot
-
-    def bwd():
-        ga._add_grad(go.grad.copy())
-        gbias._add_grad(go.grad.sum(axis=0, keepdims=True))
-
-    tape._record(bwd)
-    return out
+    return _op(a.value + bias.value, lambda g: (g.copy(), g.sum(axis=0, keepdims=True)),
+               a, bias)
 
 
 def hadamard(a: TensorNode, b: TensorNode) -> TensorNode:
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    out = tape.tensor(av * bv)
-    ga, gb, go = a._slot, b._slot, out._slot
-
-    def bwd():
-        ga._add_grad(go.grad * bv)
-        gb._add_grad(go.grad * av)
-
-    tape._record(bwd)
-    return out
+    return _op(av * bv, lambda g: (g * bv, g * av), a, b)
 
 
 def matmul_cat(a: TensorNode, b: TensorNode, w: TensorNode) -> TensorNode:
     """[a | b] @ w, the column concatenation of a and b times w.
 
-    Backward keeps a, b and w and rebuilds the concatenation, so no copy of
-    a and b stays on the tape; where another closure keeps them too (the
-    disparity loss keeps the common encoder's outputs), this op keeps nothing
+    The VJP binds a, b and w and rebuilds the concatenation, so no copy of
+    a and b stays on the tape; where another VJP binds them too (the
+    disparity loss binds the common encoder's outputs), this op keeps nothing
     of its own.
     """
-    tape = _same_tape(a, b, w)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"matmul_cat row mismatch: {a.shape} vs {b.shape}")
     split = a.shape[1]
     if split + b.shape[1] != w.shape[0]:
         raise ValueError(f"matmul_cat shape mismatch: [{a.shape} | {b.shape}] @ {w.shape}")
     av, bv, wv = a.value, b.value, w.value
-    out = tape.tensor(np.hstack([av, bv]) @ wv)
-    ga, gb, gw, go = a._slot, b._slot, w._slot, out._slot
 
-    def bwd():
-        gw._add_grad(np.hstack([av, bv]).T @ go.grad)
-        g_cat = go.grad @ wv.T
-        ga._add_grad(g_cat[:, :split].copy())
-        gb._add_grad(g_cat[:, split:].copy())
+    def vjp(g):
+        gw = np.hstack([av, bv]).T @ g
+        g_cat = g @ wv.T
+        return g_cat[:, :split].copy(), g_cat[:, split:].copy(), gw
 
-    tape._record(bwd)
-    return out
+    return _op(np.hstack([av, bv]) @ wv, vjp, a, b, w)
 
 
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
@@ -344,7 +278,6 @@ def l2_normalize_rows(a: TensorNode) -> TensorNode:
     first, so its output and norm keep full precision. Every other row is
     a / ||a|| bit for bit; a row with a non-finite entry gives NaN or inf.
     """
-    tape = a.tape
     v = a.value
     ss = _sum_sq_rows(v)
     r = np.sqrt(ss)
@@ -360,15 +293,7 @@ def l2_normalize_rows(a: TensorNode) -> TensorNode:
     y = v / r
     if odd.size:
         y[odd] = scaled / r_scaled
-    out = tape.tensor(y)
-    ga, go = a._slot, out._slot
-
-    def bwd():
-        g = go.grad
-        ga._add_grad((g - (g * y).sum(axis=1, keepdims=True) * y) / r)
-
-    tape._record(bwd)
-    return out
+    return _op(y, lambda g: ((g - (g * y).sum(axis=1, keepdims=True) * y) / r,), a)
 
 
 def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
@@ -385,11 +310,10 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
 
     The gradient 4 (a a^T - b b^T) a = 2 (D S^T a + S D^T a), and its b
     counterpart, reuse the forward products through a = (S + D) / 2 and
-    b = (S - D) / 2. Backward keeps the h x h products and rebuilds D and S
-    from a and b, whose values it references (in the closeness loss they are
-    `l2_normalize_rows` outputs, which that op keeps anyway).
+    b = (S - D) / 2. The VJP binds the h x h products and rebuilds D and S
+    from a and b, whose values it binds (in the closeness loss they are
+    `l2_normalize_rows` outputs, which that op binds anyway).
     """
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"gram_distance_sq shape mismatch: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
@@ -398,11 +322,9 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
     sts = s.T @ s
     dtd = d.T @ d
     std = s.T @ d
-    out = tape.tensor([[max(0.5 * (np.sum(sts * dtd) + np.sum(std * std.T)), 0.0)]])
-    ga, gb, go = a._slot, b._slot, out._slot
 
-    def bwd():
-        g = go.grad[0, 0]
+    def vjp(g):
+        g = g[0, 0]
         d = av - bv
         p = d @ sts
         q = d @ std
@@ -415,11 +337,9 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
         p += q
         p *= g
         qp *= g
-        ga._add_grad(p)
-        gb._add_grad(qp)
+        return p, qp
 
-    tape._record(bwd)
-    return out
+    return _op([[max(0.5 * (np.sum(sts * dtd) + np.sum(std * std.T)), 0.0)]], vjp, a, b)
 
 
 def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
@@ -431,7 +351,6 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     Otherwise a ValueError names the first such row.
     A row with a non-finite entry is not checked and gives a NaN value.
     """
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"mean_row_cosine shape mismatch: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
@@ -446,16 +365,12 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     rab = ra * rb
     n = a.shape[0]
     cos = (av * bv).sum(axis=1, keepdims=True) / rab
-    out = tape.tensor([[cos.sum() / n]])
-    ga, gb, go = a._slot, b._slot, out._slot
 
-    def bwd():
-        g = go.grad[0, 0] / n
-        ga._add_grad(g * (bv / rab - cos * av / (ra * ra)))
-        gb._add_grad(g * (av / rab - cos * bv / (rb * rb)))
+    def vjp(g):
+        g = g[0, 0] / n
+        return g * (bv / rab - cos * av / (ra * ra)), g * (av / rab - cos * bv / (rb * rb))
 
-    tape._record(bwd)
-    return out
+    return _op([[cos.sum() / n]], vjp, a, b)
 
 
 def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
@@ -465,7 +380,6 @@ def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
     The log-softmax is the logits minus the row max minus its log-sum-exp, so a
     confidently wrong row keeps its loss and its gradient g * (softmax - Y).
     """
-    tape = logits.tape
     y = np.asarray(y_onehot, dtype=np.float64)
     if y.shape != logits.shape:
         raise ValueError(f"one-hot labels shape {y.shape} does not match logits {logits.shape}")
@@ -478,14 +392,7 @@ def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
     e = np.exp(shifted)
     row_sums = e.sum(axis=1, keepdims=True)
     loss = -np.sum(in_mask * y * (shifted - np.log(row_sums)))
-    out = tape.tensor([[loss]])
-    gl, go = logits._slot, out._slot
-
-    def bwd():
-        gl._add_grad(go.grad[0, 0] * in_mask * (e / row_sums - y))
-
-    tape._record(bwd)
-    return out
+    return _op([[loss]], lambda g: (g[0, 0] * in_mask * (e / row_sums - y),), logits)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +467,13 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
     more than `tolerance`, and the gradient matches one of them within
     `tolerance`. Kinks are listed with both quotients and left out of
     max_rel_error. A wrong gradient matches neither side, so it still fails.
-    Raises ValueError unless `eps` is finite and positive.
+    Raises ValueError unless `eps` is finite and positive and `tolerance`
+    finite and non-negative.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if param_names is None:
         param_names = [f"param{i}" for i in range(len(params))]
     entries = []

@@ -347,7 +347,7 @@ def random_check_instance(n: int = 12, d: int = 5, c: int = 3, seed: int = 0,
     """Small labeled random graph for gradient checking (balanced labels)."""
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
-    if not edges:
+    if not edges and n > 1:
         edges = [(0, 1)]
     labels = np.arange(n) % c
     g = Graph.from_edges(n, edges, rng.standard_normal((n, d)), labels)
@@ -361,15 +361,20 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
 
     Model options and loss weights come from `cfg` (default: all weights 1),
     sizes and split from the small check instance. One backward pass gives the
-    gradients; every perturbed evaluation is forward-only.
+    gradients; every perturbed evaluation is forward-only. Raises ValueError
+    unless n, d and c are at least 1.
     """
+    for name, size in (("n", n), ("d", d), ("c", c)):
+        if size < 1:
+            raise ValueError(f"model_gradient_check: {name} must be >= 1, got {size}")
     if cfg is None:
         cfg = TrainConfig(loss_weights=L.LossWeights(1.0, 1.0, 1.0))
     cfg = replace(cfg, hidden_dim=hidden, knn_k=min(3, n - 1),
                   train_per_class=2, val_per_class=1, seed=seed)
     g = random_check_instance(n, d, c, seed)
+    train_nodes = make_split(g, cfg, seed).train    # fails first on a too small instance
     g_f = knn_feature_graph(g.features, cfg.knn_k)
-    objective = full_objective(g, g_f, cfg, make_split(g, cfg, seed).train)
+    objective = full_objective(g, g_f, cfg, train_nodes)
     params = M.init_params(d, c, hidden, np.random.default_rng(seed + 1))
     names = list(params)
 

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import re
 import warnings
 import weakref
 
@@ -11,7 +12,9 @@ import scipy.sparse as sp
 from benchmarks.tape_memory import step_memory, unit_bytes
 from fusegcn import autodiff as ad
 from fusegcn.autodiff import Tape, TapeError, backward, finite_diff_check
-from fusegcn.graphs import normalized_adjacency
+from fusegcn.graphs import knn_feature_graph, normalized_adjacency
+from fusegcn.model import init_params
+from fusegcn.training import TrainConfig, full_objective, make_split, random_check_instance
 from tests.test_graphs import make_graph, random_labeled_graph
 
 
@@ -77,32 +80,18 @@ def tapes_left_by(run):
 
 def row_gram(a):
     """a @ a.T as a tape op: the N x N Gram form that `gram_distance_sq` replaces."""
-    tape = a.tape
-    out = tape.tensor(a.value @ a.value.T)
-
-    def bwd():
-        a._add_grad((out.grad + out.grad.T) @ a.value)
-
-    tape._record(bwd)
-    return out
+    av = a.value
+    return ad._op(av @ av.T, lambda g: ((g + g.T) @ av,), a)
 
 
 def frobenius_sq_diff(a, b):
     """sum((a - b)^2) as a scalar tape op; with `row_gram`, the reference
     that `gram_distance_sq` is compared against."""
-    tape = ad._same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"frobenius_sq_diff shape mismatch: {a.shape} vs {b.shape}")
     diff = a.value - b.value
-    out = tape.tensor([[np.sum(diff * diff)]])
-
-    def bwd():
-        g = out.grad[0, 0]
-        a._add_grad(2.0 * g * diff)
-        b._add_grad(-2.0 * g * diff)
-
-    tape._record(bwd)
-    return out
+    return ad._op([[np.sum(diff * diff)]],
+                  lambda g: (2.0 * g[0, 0] * diff, -2.0 * g[0, 0] * diff), a, b)
 
 
 def sum_sq(node):
@@ -116,62 +105,34 @@ PROB_FLOOR = 1e-12
 def softmax_rows(a):
     """Row softmax as a tape op; with `masked_cross_entropy`, the two-op form
     that `softmax_cross_entropy` replaces."""
-    tape = a.tape
     shifted = a.value - a.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
-    out = tape.tensor(s)
-
-    def bwd():
-        g = out.grad
-        a._add_grad(s * (g - (g * s).sum(axis=1, keepdims=True)))
-
-    tape._record(bwd)
-    return out
+    return ad._op(s, lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),), a)
 
 
 def masked_cross_entropy(pred, y_onehot, mask):
     """-sum_{v in mask} sum_c Y_vc ln pred_vc on probabilities clamped to
     [PROB_FLOOR, 1]: a row whose true-class probability falls below the floor
     gets a capped loss and a zero gradient."""
-    tape = pred.tape
     in_mask = np.zeros((pred.shape[0], 1))
     in_mask[mask] = 1.0
-    p = np.clip(pred.value, PROB_FLOOR, 1.0)
-    out = tape.tensor([[-np.sum(in_mask * y_onehot * np.log(p))]])
-
-    def bwd():
-        g = out.grad[0, 0]
-        active = pred.value >= PROB_FLOOR
-        pred._add_grad(-(g * in_mask * y_onehot * active / p))
-
-    tape._record(bwd)
-    return out
+    pv = pred.value
+    p = np.clip(pv, PROB_FLOOR, 1.0)
+    return ad._op([[-np.sum(in_mask * y_onehot * np.log(p))]],
+                  lambda g: (-(g[0, 0] * in_mask * y_onehot * (pv >= PROB_FLOOR) / p),), pred)
 
 
 def relu_input_mask(a):
     """ReLU whose backward masks with its input, a > 0: the form `ad.relu`'s
     output mask y > 0 replaces."""
-    tape = a.tape
-    out = tape.tensor(np.maximum(a.value, 0.0))
-
-    def bwd():
-        a._add_grad(out.grad * (a.value > 0.0))
-
-    tape._record(bwd)
-    return out
+    av = a.value
+    return ad._op(np.maximum(av, 0.0), lambda g: (g * (av > 0.0),), a)
 
 
 def weighted_sum(node, w):
     """sum(w * node) as a scalar tape op: sends the fixed gradient w to `node`."""
-    tape = node.tape
-    out = tape.tensor([[np.sum(w * node.value)]])
-
-    def bwd():
-        node._add_grad(out.grad[0, 0] * w)
-
-    tape._record(bwd)
-    return out
+    return ad._op([[np.sum(w * node.value)]], lambda g: (g[0, 0] * w,), node)
 
 
 def cross_entropy_of(build, logits, y, mask):
@@ -445,7 +406,7 @@ class TestBackwardMechanics:
         assert a._slot._grad is None
 
     def test_discard_frees_the_tape(self):
-        # a forward-only pass: its closures are dropped unrun, and reference
+        # a forward-only pass: its entries are dropped unrun, and reference
         # counting alone must free the tape once the caller drops its nodes
         was_enabled = gc.isenabled()
         gc.disable()
@@ -563,7 +524,7 @@ class TestReluOutputMask:
 
 
 class TestRetention:
-    """A closure keeps the arrays its backward formula reads, not whole nodes."""
+    """A VJP binds the arrays its formula reads, not whole nodes."""
 
     def test_relu_frees_its_input(self):
         t = Tape()
@@ -572,7 +533,7 @@ class TestRetention:
         y = ad.relu(pre)
         freed = weakref.ref(pre.value)
         del pre
-        assert freed() is None and len(t._backward_fns) == 2
+        assert freed() is None and len(t._entries) == 2
         backward(t, weighted_sum(y, np.ones(y.shape)))
         npt.assert_array_equal(x.grad, 2.0 * (x.value > 0.0))
 
@@ -584,7 +545,7 @@ class TestRetention:
         z = ad.scale(y, 3.0)
         freed = weakref.ref(y.value)
         del y
-        assert freed() is None and len(t._backward_fns) == 2
+        assert freed() is None and len(t._entries) == 2
         backward(t, weighted_sum(z, np.ones(z.shape)))
         npt.assert_array_equal(x.grad, 3.0 * (x.value > 0.0))
 
@@ -608,7 +569,7 @@ class TestRetention:
         loss = ad.gram_distance_sq(a, b)
         assert any(shape == (n, h) for shape, _ in log)
         assert all(ref() is None for shape, ref in log if shape == (n, h))
-        assert len(t._backward_fns) == 1
+        assert len(t._entries) == 1
         backward(t, loss)
         ref = Tape()
         a_ref, b_ref = ref.tensor(a_val), ref.tensor(b_val)
@@ -623,7 +584,7 @@ class TestRetention:
         out = ad.add_scaled(a, b, 0.5, -1.0)
         freed = [weakref.ref(a.value), weakref.ref(b.value)]
         del a, b
-        assert all(r() is None for r in freed) and len(t._backward_fns) == 3
+        assert all(r() is None for r in freed) and len(t._entries) == 3
         backward(t, weighted_sum(out, np.ones(out.shape)))
         npt.assert_array_equal(x.grad, np.full((2, 3), -2.0))
 
@@ -658,11 +619,17 @@ OP_CASES = {
     "frobenius_sq_diff": lambda t, ns: frobenius_sq_diff(ns[0], ns[1]),
     "gram_distance_sq": lambda t, ns: ad.gram_distance_sq(ns[0], ns[1]),
     "mean_row_cosine": lambda t, ns: ad.mean_row_cosine(ns[0], ns[1]),
-    "spmm": None,  # handled separately (needs a sparse operand)
+    "spmm": lambda t, ns: sum_sq(ad.spmm(rectangular_csr(ns[0].shape[0]), ns[0])),
     "masked_cross_entropy": lambda t, ns: two_op_cross_entropy(ns[0], *cyclic_labels(ns[0])),
     "softmax_cross_entropy": lambda t, ns: ad.softmax_cross_entropy(ns[0],
                                                                     *cyclic_labels(ns[0])),
 }
+
+
+def rectangular_csr(n):
+    """A fixed sparse (n + 1) x n constant for the spmm case: rectangular, so a
+    VJP that drops the transpose fails."""
+    return sp.csr_array(np.tril(np.arange(1.0, n + 2)[:, None] * np.ones((1, n)), k=-1))
 
 
 def cyclic_labels(logits):
@@ -671,11 +638,16 @@ def cyclic_labels(logits):
     return np.eye(c)[np.arange(n) % c], np.arange(0, n, 2)
 
 
+TAPE_OPERATORS = {"matmul", "spmm", "relu", "sigmoid", "add_scaled", "scale", "add_row_bias",
+                  "hadamard", "matmul_cat", "l2_normalize_rows", "gram_distance_sq",
+                  "mean_row_cosine", "softmax_cross_entropy"}
+
+
 def test_every_tape_operator_has_a_gradient_case():
     recording = {name for name, f in vars(ad).items()
                  if inspect.isfunction(f) and f.__module__ == ad.__name__
-                 and not name.startswith("_") and "._record(" in inspect.getsource(f)}
-    assert {"matmul", "spmm", "softmax_cross_entropy"} <= recording
+                 and not name.startswith("_") and re.search(r"\b_op\(", inspect.getsource(f))}
+    assert recording == TAPE_OPERATORS
     assert recording - set(OP_CASES) == set()
 
 
@@ -705,11 +677,63 @@ def build_values(name, rng):
     return [rng.standard_normal((r, c))]
 
 
-@pytest.mark.parametrize("name", [k for k, v in OP_CASES.items() if v is not None])
+@pytest.mark.parametrize("name", list(OP_CASES))
 def test_operator_gradients_match_finite_differences(name):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         check_op_gradient(OP_CASES[name], build_values(name, rng))
+
+
+def recorded_tape(name):
+    """(tape, loss) of the OP_CASES case `name`, or of one full-model objective
+    (h = 8, on the gradient-check instance) for "full_model", before backward."""
+    if name == "full_model":
+        cfg = TrainConfig(hidden_dim=8, knn_k=3, train_per_class=2, val_per_class=1)
+        g = random_check_instance()
+        objective = full_objective(g, knn_feature_graph(g.features, cfg.knn_k), cfg,
+                                   make_split(g, cfg, cfg.seed).train)
+        loss = objective(init_params(g.features.shape[1], g.n_classes, cfg.hidden_dim,
+                                     np.random.default_rng(1))).loss
+        return loss.tape, loss
+    tape = Tape()
+    nodes = [tape.tensor(v) for v in build_values(name, np.random.default_rng(0))]
+    return tape, OP_CASES[name](tape, nodes)
+
+
+@pytest.mark.parametrize("name", [*OP_CASES, "full_model"])
+def test_vjps_bind_no_node_tape_or_slot(name):
+    # a VJP that reads `b.value` in backward binds the node `b`, and with it
+    # the whole tape's values through b.tape
+    tape, _ = recorded_tape(name)
+    assert tape._entries
+    for vjp, _, _ in tape._entries:
+        held = [cell.cell_contents for cell in vjp.__closure__ or ()]
+        assert not [x for x in held if isinstance(x, (ad.TensorNode, Tape, ad._GradSlot))], \
+            vjp.__qualname__
+
+
+@pytest.mark.parametrize("name", [*OP_CASES, "full_model"])
+def test_vjp_gradients_are_fresh(name):
+    # a slot's first gradient becomes its buffer and later ones are added
+    # into it in place, so no returned gradient may share memory with g or
+    # with another gradient of the same VJP
+    tape, loss = recorded_tape(name)
+    ran = []
+
+    def checked(vjp):
+        def run(g):
+            grads = vjp(g)
+            for i, x in enumerate(grads):
+                for y in (g, *grads[:i]):
+                    assert not np.may_share_memory(x, y), vjp.__qualname__
+            ran.append(vjp)
+            return grads
+        return run
+
+    tape._entries[:] = [(checked(vjp), slots, out) for vjp, slots, out in tape._entries]
+    n_entries = len(tape._entries)
+    backward(tape, loss)
+    assert len(ran) == n_entries > 0
 
 
 def test_spmm_gradient_matches_finite_differences():
@@ -976,3 +1000,11 @@ class TestFiniteDiffCheck:
         theta = np.ones((2, 2))
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
             finite_diff_check(sum_of_squares, [theta], [2.0 * theta], eps=eps)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        theta = np.ones((2, 2))
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            finite_diff_check(sum_of_squares, [theta], [2.0 * theta], tolerance=tolerance)
+        # zero is allowed: only exactly matching coordinates pass
+        assert not finite_diff_check(sum_of_squares, [theta], [2.1 * theta], tolerance=0.0).passed

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,22 @@ class TestGradcheckCommand:
         assert cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",
                              "--hidden", "5", "--eps", eps]) == 2
         assert "eps must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tolerance", "-1", "tolerance must be finite and >= 0, got -1.0"),
+        ("--tolerance", "nan", "tolerance must be finite and >= 0, got nan"),
+        ("--nodes", "0", "n must be >= 1, got 0"),
+        ("--nodes", "1", "class 0 has 1 nodes, needs 3 for the split"),
+        ("--dim", "0", "d must be >= 1, got 0"),
+        ("--classes", "0", "c must be >= 1, got 0"),
+    ])
+    def test_bad_argument_exits_2_naming_it(self, flag, value, message, capsys):
+        # with warnings as errors: no RuntimeWarning may precede the message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_dispatch(["gradcheck", flag, value]) == 2
+        out = capsys.readouterr()
+        assert message in out.err and out.out == ""
 
     def test_config_model_options_apply_to_check_instance(self, tmp_path, capsys):
         # the config's default split sizes are larger than the 8-node check instance

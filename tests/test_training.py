@@ -339,34 +339,23 @@ class TestFinalPass:
 
 def relu_scaled_backward(a):
     """ReLU whose backward is 1.01 times the true one."""
-    tape = a.tape
     y = np.maximum(a.value, 0.0)
-    out = tape.tensor(y)
-
-    def bwd():
-        a._add_grad(1.01 * out.grad * (y > 0.0))
-
-    tape._record(bwd)
-    return out
+    return ad._op(y, lambda g: (1.01 * g * (y > 0.0),), a)
 
 
 def cosine_missing_term(a, b):
     """Mean row cosine whose gradient for `a` lacks its -cos a / |a|^2 term."""
-    tape = a.tape
     av, bv = a.value, b.value
     ra = np.linalg.norm(av, axis=1, keepdims=True)
     rb = np.linalg.norm(bv, axis=1, keepdims=True)
     n = av.shape[0]
     cos = (av * bv).sum(axis=1, keepdims=True) / (ra * rb)
-    out = tape.tensor([[cos.sum() / n]])
 
-    def bwd():
-        g = out.grad[0, 0] / n
-        a._add_grad(g * bv / (ra * rb))
-        b._add_grad(g * (av / (ra * rb) - cos * bv / (rb * rb)))
+    def vjp(g):
+        g = g[0, 0] / n
+        return g * bv / (ra * rb), g * (av / (ra * rb) - cos * bv / (rb * rb))
 
-    tape._record(bwd)
-    return out
+    return ad._op([[cos.sum() / n]], vjp, a, b)
 
 
 class TestReluKink:
