@@ -45,6 +45,9 @@ its dense node operand only.
 The classification loss is one operator on the logits, ``softmax_cross_entropy``;
 no probability is formed or clamped before its log.
 
+``unit_rows`` is the one row normalization, run by ``l2_normalize_rows`` and
+by the kNN graph (``graphs.knn_feature_graph``).
+
 ``finite_diff_check`` is the independent gradient oracle: central differences
 of a loss-only function against the gradients the caller passes in.
 """
@@ -59,6 +62,9 @@ import scipy.sparse as sp
 
 class TapeError(RuntimeError):
     pass
+
+
+_CONSUMED = "this tape was already consumed or discarded; build a new tape"
 
 
 class _GradSlot:
@@ -130,9 +136,11 @@ def _op(value, vjp, *inputs) -> TensorNode:
 
     `value` becomes the output's value; `vjp(g)` maps the output gradient g
     to one fresh array per input, binding arrays only (see the module
-    docstring).
+    docstring). Recording onto a consumed or discarded tape is a TapeError.
     """
     tape = inputs[0].tape
+    if tape._used:
+        raise TapeError(_CONSUMED)
     slots = []
     for x in inputs:
         if x.tape is not tape:
@@ -153,7 +161,7 @@ def backward(tape: Tape, loss: TensorNode) -> None:
     if loss.shape != (1, 1):
         raise ValueError("backward requires a scalar (1, 1) loss node")
     if tape._used:
-        raise TapeError("this tape was already consumed or discarded; build a new tape")
+        raise TapeError(_CONSUMED)
     tape._used = True
     loss._slot._grad = np.ones((1, 1))
     entries = tape._entries
@@ -263,36 +271,51 @@ def _normal(x: np.ndarray) -> np.ndarray:
     return (x >= _TINY) & (x <= _HUGE)
 
 
-def _sum_sq_rows(v: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, bit-equal to `np.linalg.norm(v, axis=1) ** 2`
-    before its square root; it may overflow to inf, which is not reported."""
-    with np.errstate(over="ignore"):
-        return np.add.reduce(v * v, axis=1, keepdims=True)
+_BLOCK_ENTRIES = 1 << 20  # entries per row block of `unit_rows`
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x over its row norms, the norms as an (n, 1) column), in x's dtype and layout.
+
+    One row-blocked pass with no N x d temporary: each block's squares go into
+    its rows of the result, their `np.add.reduce` is `np.linalg.norm`'s bits,
+    and x / norm overwrites them. A finite row whose sum of squares is not a
+    positive normal float64 is divided by its peak |entry| first and gets norm
+    peak * ||x / peak|| (inf if that overflows). A zero row gets norm 0 and a
+    row with a non-finite entry a non-finite norm, for the caller to reject.
+    """
+    n, d = x.shape
+    rows = np.empty_like(x)
+    ss = np.empty((n, 1), x.dtype)
+    norms = np.empty((n, 1), x.dtype)
+    block = max(2, _BLOCK_ENTRIES // max(d, 1))
+    # no one-row block unless n = 1: numpy sums a lone strided row (of an
+    # F-ordered x) in another order than the same row of a larger block
+    starts = range(0, max(n - 1, 1), block)
+    with np.errstate(all="ignore"):
+        for r0, r1 in zip(starts, [*starts[1:], n]):
+            xb, sq = x[r0:r1], rows[r0:r1]
+            np.multiply(xb, xb, out=sq)
+            np.add.reduce(sq, axis=1, keepdims=True, out=ss[r0:r1])
+            np.sqrt(ss[r0:r1], out=norms[r0:r1])
+            np.divide(xb, norms[r0:r1], out=sq)
+        odd = np.flatnonzero(~_normal(ss[:, 0]))
+        peaks = np.abs(x[odd]).max(axis=1, keepdims=True, initial=0.0)
+        fix = np.isfinite(peaks[:, 0]) & (peaks[:, 0] > 0.0)
+        odd, peaks = odd[fix], peaks[fix]
+        scaled = x[odd] / peaks
+        r = np.linalg.norm(scaled, axis=1, keepdims=True)
+        norms[odd] = peaks * r
+        rows[odd] = scaled / r
+    return rows, norms
 
 
 def l2_normalize_rows(a: TensorNode) -> TensorNode:
-    """Each row over its L2 norm; rows must be nonzero.
-
-    A finite row whose sum of squares is not a positive normal float64 (its
-    squares underflow or overflow) is divided by its largest absolute entry
-    first, so its output and norm keep full precision. Every other row is
-    a / ||a|| bit for bit; a row with a non-finite entry gives NaN or inf.
-    """
-    v = a.value
-    ss = _sum_sq_rows(v)
-    r = np.sqrt(ss)
-    odd = np.flatnonzero(~_normal(ss[:, 0]))
-    if odd.size:
-        odd = odd[np.isfinite(v[odd]).all(axis=1)]
-        peaks = np.abs(v[odd]).max(axis=1, keepdims=True, initial=0.0)
-        if np.any(peaks == 0.0):
-            raise ValueError(f"cannot L2-normalize zero row {odd[peaks[:, 0] == 0.0][0]}")
-        scaled = v[odd] / peaks
-        r_scaled = np.linalg.norm(scaled, axis=1, keepdims=True)
-        r[odd] = peaks * r_scaled
-    y = v / r
-    if odd.size:
-        y[odd] = scaled / r_scaled
+    """Each row over its L2 norm, by `unit_rows`; rows must be nonzero, and a
+    row with a non-finite entry gives NaN or inf."""
+    y, r = unit_rows(a.value)
+    if not r.all():
+        raise ValueError(f"cannot L2-normalize zero row {np.flatnonzero(r == 0.0)[0]}")
     return _op(y, lambda g: ((g - (g * y).sum(axis=1, keepdims=True) * y) / r,), a)
 
 
@@ -354,7 +377,9 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     if a.shape != b.shape:
         raise ValueError(f"mean_row_cosine shape mismatch: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    ssa, ssb = _sum_sq_rows(av), _sum_sq_rows(bv)
+    with np.errstate(over="ignore"):   # to inf: reported below
+        ssa = np.add.reduce(av * av, axis=1, keepdims=True)
+        ssb = np.add.reduce(bv * bv, axis=1, keepdims=True)
     bad = np.flatnonzero(~(_normal(ssa) & _normal(ssb))[:, 0])
     bad = bad[np.isfinite(av[bad]).all(axis=1) & np.isfinite(bv[bad]).all(axis=1)]
     if bad.size:

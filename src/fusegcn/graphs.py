@@ -2,7 +2,8 @@
 
 Edges are undirected, stored canonically as (i, j) with i < j, sorted
 lexicographically and free of duplicates and self-loops. All operations here
-are pure functions of their inputs.
+are pure functions of their inputs; the kNN graph's unit rows come from
+`autodiff.unit_rows`, the row normalization of `l2_normalize_rows`.
 
 Set-up works on int64 keys: the pair (i, j) of an n-node graph is the key
 i*n + j, so sorting keys sorts pairs by (i, j) and one 1-D sort replaces a
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .autodiff import unit_rows
 
 _BLOCK_ENTRIES = 1 << 20  # similarity entries per row block of the kNN top-k
 
@@ -157,31 +160,6 @@ def homophily_ratio(g: Graph) -> float:
     return same / g.n_edges
 
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x / row norms, row norms) in one row-blocked pass, with no N x d temporary.
-
-    Each block's squares go into the block's rows of the result, which has
-    x's layout; their `np.add.reduce` is bit-equal to `np.linalg.norm`, and
-    `x / norm` then overwrites them. Rows whose norm is 0 or not finite come
-    back unnormalized (nan, inf or garbage) for the caller to handle.
-    """
-    n, d = x.shape
-    xn = np.empty_like(x)
-    norms = np.empty(n)
-    rows = max(2, _BLOCK_ENTRIES // max(d, 1))
-    # no one-row block unless n = 1: numpy sums a lone strided row (of an
-    # F-ordered x) in another order than the same row of a larger block
-    starts = range(0, max(n - 1, 1), rows)
-    with np.errstate(all="ignore"):
-        for r0, r1 in zip(starts, [*starts[1:], n]):
-            xb, sq = x[r0:r1], xn[r0:r1]
-            np.multiply(xb, xb, out=sq)
-            nb = norms[r0:r1]
-            np.sqrt(np.add.reduce(sq, axis=1), out=nb)
-            np.divide(xb, nb[:, None], out=sq)
-    return xn, norms
-
-
 def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     """Undirected k-nearest-neighbor graph under cosine similarity.
 
@@ -191,6 +169,10 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     equal cosines can round apart in the matrix product, and then the
     larger computed value wins. The returned graph carries the input features
     and no labels.
+
+    The unit rows come from `autodiff.unit_rows`, so a row whose squares
+    underflow or overflow keeps full precision. A row with a non-finite
+    entry, then a zero row, is a ValueError naming the node.
 
     The unit-norm rows and the N x N similarity matrix are the only full-size
     arrays, and they overlap only during the product. The top k of each row
@@ -205,19 +187,14 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
-    xn, norms = _unit_rows(x)
-    # a row whose squares overflow or underflow is normalized after dividing it
-    # by its largest absolute value; other rows keep x / norms bit for bit
-    odd = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    bad = odd[~np.isfinite(x[odd]).all(axis=1)]
+    xn, norms = unit_rows(x)
+    bad = np.flatnonzero(~np.isfinite(norms[:, 0]))
+    bad = bad[~np.isfinite(x[bad]).all(axis=1)]
     if bad.size:
         raise ValueError(f"non-finite feature value at node {bad[0]}")
-    peaks = np.abs(x[odd]).max(axis=1, keepdims=True, initial=0.0)
-    zero = odd[peaks[:, 0] == 0.0]
+    zero = np.flatnonzero(norms[:, 0] == 0.0)
     if zero.size:
         raise ValueError(f"cosine similarity undefined: zero-norm feature row at node {zero[0]}")
-    scaled = x[odd] / peaks
-    xn[odd] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
     sim = xn @ xn.T
     del xn
     np.fill_diagonal(sim, -np.inf)

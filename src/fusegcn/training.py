@@ -47,18 +47,16 @@ class TrainConfig:
     val_per_class: int = 40
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if not 0.0 <= self.lr < np.inf or not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError("lr and weight_decay must be finite and >= 0")
-        if self.train_per_class < 1 or self.val_per_class < 1:
-            raise ValueError("train_per_class and val_per_class must be >= 1")
-        if not 0.0 <= self.prop_weight <= 1.0 or not 0.0 <= self.common_mix <= 1.0:
-            raise ValueError("mixing weights must lie in [0, 1]")
+        for name in ("epochs", "patience", "hidden_dim", "knn_k",
+                     "train_per_class", "val_per_class"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("lr", "weight_decay"):
+            if not 0.0 <= (value := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("prop_weight", "common_mix"):
+            if not 0.0 <= (value := getattr(self, name)) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -369,7 +367,7 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
             raise ValueError(f"model_gradient_check: {name} must be >= 1, got {size}")
     if cfg is None:
         cfg = TrainConfig(loss_weights=L.LossWeights(1.0, 1.0, 1.0))
-    cfg = replace(cfg, hidden_dim=hidden, knn_k=min(3, n - 1),
+    cfg = replace(cfg, hidden_dim=hidden, knn_k=max(1, min(3, n - 1)),
                   train_per_class=2, val_per_class=1, seed=seed)
     g = random_check_instance(n, d, c, seed)
     train_nodes = make_split(g, cfg, seed).train    # fails first on a too small instance

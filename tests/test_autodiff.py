@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from scipy.special import logsumexp
 
 from benchmarks.tape_memory import step_memory, unit_bytes
 from fusegcn import autodiff as ad
@@ -404,6 +405,22 @@ class TestBackwardMechanics:
         with pytest.raises(TapeError, match="build a new tape"):
             backward(t, loss)
         assert a._slot._grad is None
+
+    @pytest.mark.parametrize("end", ["backward", "discard"])
+    def test_recording_on_a_consumed_tape_errors(self, end):
+        # the entry would never run: no backward follows either end
+        t = Tape()
+        a = t.tensor(np.ones((2, 2)))
+        w = t.tensor(np.full((2, 2), 0.5))
+        loss = sum_sq(ad.matmul(a, w))
+        if end == "backward":
+            backward(t, loss)
+        else:
+            t.discard()
+        for record in (lambda: ad.matmul(a, w), lambda: ad.relu(a)):
+            with pytest.raises(TapeError, match="build a new tape"):
+                record()
+        assert t._entries == []
 
     def test_discard_frees_the_tape(self):
         # a forward-only pass: its entries are dropped unrun, and reference
@@ -861,6 +878,61 @@ class TestExtremeRows:
         x = self.ROW.copy()
         x[0, 1] = np.nan
         assert np.isnan(ad.mean_row_cosine(t.tensor(x), t.tensor(self.ROW)).item())
+
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_knn_feature_graph_ignores_row_scale(self, scale):
+        # node 0's nearest neighbour is node 1 by a cosine margin of 5e-6, so a
+        # row normalized to a norm off by 1e-5 would pick node 2 instead
+        x = np.array([[1.0, 0.0], [np.cos(0.01), np.sin(0.01)],
+                      [np.cos(0.0105), np.sin(0.0105)], [0.0, 1.0], [-1.0, 0.2]])
+        want = [[0, 1], [1, 2], [3, 4]]
+        npt.assert_array_equal(knn_feature_graph(x, 1).edges, want)
+        x[2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(knn_feature_graph(x, 1).edges, want)
+
+    @staticmethod
+    def extreme_inputs(seed, shape):
+        """Row 0 near +-1e3, rows 1 and 2 scaled by 1e-160 and 1e-170."""
+        x = np.random.default_rng(seed).standard_normal(shape)
+        x[0] += np.copysign(1e3, x[0])
+        x[1] *= 1e-160
+        x[2] *= 1e-170
+        return x
+
+    @pytest.mark.parametrize("pair", ["independent", "rotated", "equal"])
+    def test_gram_distance_sq(self, pair):
+        a = self.extreme_inputs(14, (6, 3))
+        q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((3, 3)))
+        b = {"independent": self.extreme_inputs(16, (6, 3)), "rotated": a @ q,
+             "equal": a.copy()}[pair]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (v, ga, gb), (v_ref, ga_ref, gb_ref) = TestGramDistanceSq.fused_and_reference(a, b)
+        assert np.isfinite(v) and v >= 0.0
+        assert np.isfinite(ga).all() and np.isfinite(gb).all()
+        if pair == "independent":
+            assert v == pytest.approx(v_ref, rel=1e-12)
+            for g, g_ref in ((ga, ga_ref), (gb, gb_ref)):
+                npt.assert_allclose(g, g_ref, rtol=1e-10, atol=1e-10 * np.abs(g_ref).max())
+        else:
+            # a a^T = b b^T: the value is rounding error, tiny beside ||a||^4
+            assert v <= 1e-24 * np.sum(a * a) ** 2
+        if pair == "equal":
+            assert v == 0.0 and not ga.any() and not gb.any()
+
+    def test_softmax_cross_entropy(self):
+        logits = self.extreme_inputs(17, (6, 4))
+        y = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, y, np.arange(6))
+        ref = -np.sum(y * (logits - logsumexp(logits, axis=1, keepdims=True)))
+        assert np.isfinite(loss) and loss == pytest.approx(ref, rel=1e-12)
+        assert np.isfinite(grad).all()
+        npt.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
 class TestOutputInvariants:

@@ -210,7 +210,14 @@ class TestTrainCommand:
         cfg = tiny_config(tmp_path, lr=-0.05)
         assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
                              "--out", str(tmp_path / "run")]) == 2
-        assert "bad config: lr" in capsys.readouterr().err
+        assert "bad config: lr must be finite and >= 0, got -0.05" in capsys.readouterr().err
+
+    def test_zero_knn_k_exits_2_naming_the_key(self, synth_ds, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, knn_k=0)
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(tmp_path / "run")]) == 2
+        assert "bad config: knn_k must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestGraphCommands:
@@ -380,6 +387,7 @@ class TestGradcheckCommand:
         ("--tolerance", "nan", "tolerance must be finite and >= 0, got nan"),
         ("--nodes", "0", "n must be >= 1, got 0"),
         ("--nodes", "1", "class 0 has 1 nodes, needs 3 for the split"),
+        ("--hidden", "0", "hidden_dim must be >= 1, got 0"),
         ("--dim", "0", "d must be >= 1, got 0"),
         ("--classes", "0", "c must be >= 1, got 0"),
     ])

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from fusegcn import autodiff as ad
 from fusegcn import graphs
 from fusegcn.graphs import (
     Graph,
@@ -312,6 +313,17 @@ class TestKnnFeatureGraph:
         with pytest.raises(ValueError, match="node 2"):
             knn_feature_graph(x, 1)
 
+    def test_finite_row_whose_norm_overflows(self):
+        # the rescued row's norm is inf, but its entries are finite: it is not
+        # a non-finite feature row, and it normalizes like the same row at scale 1
+        x = np.random.default_rng(5).standard_normal((6, 2))
+        x[3] = [1.0, -1.0]
+        want = knn_feature_graph(x, 2).edges
+        x[3] = [1.5e308, -1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(knn_feature_graph(x, 2).edges, want)
+
 
 def _argsort_knn(x, k):
     """The full stable argsort selection that the partition selection replaced."""
@@ -399,7 +411,10 @@ def test_knn_memory_peak(d, bound):
 
 
 class TestUnitRows:
-    """The blocked norms are `np.linalg.norm`'s bits, whatever the block size."""
+    """`autodiff.unit_rows`, the row normalization of the kNN graph and of
+    `l2_normalize_rows`: ordinary rows get `np.linalg.norm`'s bits whatever
+    the block size, and rows whose squares leave float64's normal range are
+    normalized through their largest entry."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rows", [1, 3, 64])
@@ -407,20 +422,38 @@ class TestUnitRows:
     def test_norms_and_rows_bit_equal(self, monkeypatch, d, rows, order):
         rng = np.random.default_rng(d)
         x = rng.standard_normal((70, d))
-        x[5] *= 1e200     # squares overflow: norm inf
-        x[6] *= 1e-200    # squares underflow: norm 0
-        x[7] *= 1e150     # squares overflow only when summed (d > 1)
+        x[5] *= 1e200     # squares overflow
+        x[6] *= 1e-200    # squares underflow
+        x[7] = np.copysign(1.2e154, x[7])   # squares overflow only when summed (d > 1)
+        x[8] *= 1e-160    # sum of squares subnormal: nonzero, but short of precision
         x = np.asarray(x, order=order)
-        monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", rows * d)
-        xn, norms = graphs._unit_rows(x)
-        with np.errstate(over="ignore"):
-            want = np.linalg.norm(x, axis=1)
+        monkeypatch.setattr(ad, "_BLOCK_ENTRIES", rows * d)
+        xn, norms = ad.unit_rows(x)
+        with np.errstate(over="ignore", under="ignore"):
+            ordinary = ad._normal((x * x).sum(axis=1))
+            want = np.linalg.norm(x, axis=1, keepdims=True)
+        assert not ordinary[[5, 6, 8]].any() and ordinary[7] == (d == 1)
+        want_rows = x / np.where(ordinary[:, None], want, 1.0)
+        # a rescued row: its norm is peak * ||x / peak||, its row (x / peak) / ||x / peak||
+        odd = np.flatnonzero(~ordinary)
+        peaks = np.abs(x[odd]).max(axis=1, keepdims=True)
+        scaled = x[odd] / peaks
+        r = np.linalg.norm(scaled, axis=1, keepdims=True)
+        want[odd] = peaks * r
+        want_rows[odd] = scaled / r
         assert_same_array(norms, want)
+        assert np.isfinite(norms).all() and (norms > 0).all()
         assert xn.flags.c_contiguous == x.flags.c_contiguous
         assert xn.flags.f_contiguous == x.flags.f_contiguous
-        ok = np.isfinite(want) & (want > 0)
-        assert_same_array(xn[ok], (x / np.where(ok, want, 1.0)[:, None])[ok])
+        assert_same_array(xn, want_rows)
 
+    def test_zero_and_non_finite_rows_reported_through_norms(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [-0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, norms = ad.unit_rows(x)
+        assert norms[0, 0] == 5.0 and norms[1, 0] == 0.0 and norms[4, 0] == 0.0
+        assert not np.isfinite(norms[2:4]).any()
 
 class TestDegreeStats:
     def test_path(self):

@@ -54,15 +54,24 @@ def backward_calls(monkeypatch):
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(prop_weight=1.2)
-        # each of these breaks training or early stopping
-        for bad in (dict(val_per_class=0), dict(patience=0), dict(hidden_dim=0),
-                    dict(lr=-0.05), dict(lr=np.nan), dict(lr=np.inf),
-                    dict(weight_decay=-5.0), dict(weight_decay=np.nan)):
-            with pytest.raises(ValueError):
+        # each of these breaks training or early stopping; the message names
+        # the field and its value
+        for bad, message in ((dict(epochs=0), "epochs must be >= 1, got 0"),
+                             (dict(prop_weight=1.2), r"prop_weight must lie in \[0, 1\], got 1.2"),
+                             (dict(common_mix=-0.1), r"common_mix must lie in \[0, 1\], got -0.1"),
+                             (dict(val_per_class=0), "val_per_class must be >= 1, got 0"),
+                             (dict(train_per_class=-3), "train_per_class must be >= 1, got -3"),
+                             (dict(patience=0), "patience must be >= 1, got 0"),
+                             (dict(hidden_dim=0), "hidden_dim must be >= 1, got 0"),
+                             (dict(knn_k=0), "knn_k must be >= 1, got 0"),
+                             (dict(lr=-0.05), "lr must be finite and >= 0, got -0.05"),
+                             (dict(lr=np.nan), "lr must be finite and >= 0, got nan"),
+                             (dict(lr=np.inf), "lr must be finite and >= 0, got inf"),
+                             (dict(weight_decay=-5.0),
+                              "weight_decay must be finite and >= 0, got -5.0"),
+                             (dict(weight_decay=np.nan),
+                              "weight_decay must be finite and >= 0, got nan")):
+            with pytest.raises(ValueError, match=message):
                 TrainConfig(**bad)
 
     def test_negative_seed_named(self):
