@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.protocol import (BENCH_SEEDS, check_harsh_heterophily, heterophilous_spec,
+                                 homophilous_spec, run_benchmark)
 from fusegcn.autodiff import Tape
 from fusegcn.cli import cli_dispatch
 from fusegcn.dataio import save_dataset
@@ -23,8 +25,8 @@ from fusegcn.heterophily import (
     make_sweep_plan,
     required_edges,
 )
-from fusegcn.losses import LossWeights, closeness_loss, disparity_loss
-from fusegcn.training import TrainConfig, model_gradient_check, train, train_baseline
+from fusegcn.losses import closeness_loss, disparity_loss
+from fusegcn.training import model_gradient_check
 from tests.test_graphs import brute_force_knn_edges, random_labeled_graph
 
 pytestmark = pytest.mark.slow
@@ -39,79 +41,6 @@ def report(num, passed, detail):
 # ---------------------------------------------------------------------------
 # shared benchmark runs (criteria 5-7)
 # ---------------------------------------------------------------------------
-
-BENCH_SEEDS = (0, 1, 2, 3, 4)
-FEATURES = dict(n_features=4, mean_separation=1.0, noise_scale=0.85)
-
-
-def bench_config(seed):
-    return TrainConfig(hidden_dim=64, knn_k=7, lr=0.01, weight_decay=5e-4,
-                       epochs=300, patience=60, seed=seed,
-                       loss_weights=LossWeights(1.0, 5e-4, 1e-3))
-
-
-def homophilous_spec(seed):
-    return SynthSpec(400, 2, p_intra=0.05, p_inter=0.005, seed=seed, **FEATURES)
-
-
-def heterophilous_spec(seed):
-    # Five classes with cross edges spread evenly over the four other classes.
-    # On two blocks every cross edge points at the one other class, so a
-    # neighborhood still names its class and a plain GCN sits at the ceiling:
-    # benign heterophily (Ma et al., "Is Homophily a Necessity for Graph Neural
-    # Networks?", ICLR 2022). Sized to the two-block family's heterophily
-    # (~0.91), mean degree (~11) and feature noise; n_features = n_classes
-    # keeps one-hot class means; N=1000 leaves 120 test nodes per class.
-    return SynthSpec(1000, 5, p_intra=0.005, p_inter=0.0125, n_features=5,
-                     mean_separation=1.0, noise_scale=0.85, seed=seed)
-
-
-def check_harsh_heterophily(g):
-    """Premise of criteria 6 and 7: many classes, high heterophily, spread cross edges."""
-    c = g.n_classes
-    heterophily = 1.0 - homophily_ratio(g)
-    assert c >= 5, f"{c} classes: the heterophilous fixture needs >= 5"
-    assert heterophily >= 0.85, f"edge heterophily {heterophily:.3f} < 0.85"
-    # cross[a, b]: edges between class a and class b, for a != b
-    cross = np.zeros((c, c), dtype=np.int64)
-    np.add.at(cross, (g.labels[g.edges[:, 0]], g.labels[g.edges[:, 1]]), 1)
-    cross += cross.T
-    np.fill_diagonal(cross, 0)
-    off_diagonal = ~np.eye(c, dtype=bool)
-    assert np.all(cross[off_diagonal] > 0), \
-        f"some class has no cross edges into another class:\n{cross}"
-    top_share = (cross.max(axis=1) / cross.sum(axis=1)).max()
-    assert top_share <= 0.5, \
-        f"a class sends {top_share:.2f} of its cross edges to one other class (> 0.5)"
-
-
-def run_benchmark(make_spec, with_knn_baseline):
-    """Train the full model and baselines on make_spec(seed) for each bench seed.
-
-    Accuracies are scored with the returned (best-validation) parameters, and
-    the attention norms are read at that same best epoch.
-    """
-    out = {"full": [], "gcn": [], "knn": [], "attn_t": [], "attn_f": [],
-           "heterophily": []}
-    start = time.monotonic()
-    for seed in BENCH_SEEDS:
-        g = generate_synthetic(make_spec(seed))
-        g_f = knn_feature_graph(g.features, 7)
-        cfg = bench_config(seed)
-        _, tr_full = train(g, g_f, cfg)
-        _, tr_gcn = train_baseline(g, cfg)
-        out["full"].append(tr_full.final_accuracy)
-        out["gcn"].append(tr_gcn.final_accuracy)
-        if with_knn_baseline:
-            _, tr_knn = train_baseline(g, cfg, graph_for_propagation=g_f)
-            out["knn"].append(tr_knn.final_accuracy)
-        best = tr_full.records[tr_full.best_epoch - 1]
-        out["attn_t"].append(best.attn_t)
-        out["attn_f"].append(best.attn_f)
-        out["heterophily"].append(1.0 - homophily_ratio(g))
-    out["elapsed"] = time.monotonic() - start
-    return out
-
 
 @pytest.fixture(scope="session")
 def homophilous_bench():
