@@ -76,7 +76,7 @@ def step_memory(n: int) -> StepMemory:
     cfg = TrainConfig(hidden_dim=HIDDEN, seed=SEED)
     g = generate_synthetic(SynthSpec(n, N_CLASSES, n_features=N_FEATURES, seed=SEED))
     g_f = knn_feature_graph(g.features, cfg.knn_k)
-    objective = full_objective(g, g_f, cfg, make_split(g, cfg, SEED).train)
+    objective = full_objective(g, g_f, cfg, make_split(g, cfg).train)
     params = init_params(N_FEATURES, N_CLASSES, HIDDEN, np.random.default_rng(SEED))
     gc.collect()
     started = not tracemalloc.is_tracing()

@@ -53,7 +53,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate saved parameters on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True, help="params.npz from a train run")
-    p.add_argument("--config", help="config used for training (forward hyperparameters)")
+    p.add_argument("--config", help="config used for training (the kNN `k` and the split)")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("homophily", help="print the homophily and heterophily of a dataset")
@@ -144,7 +144,7 @@ def _cmd_eval(args) -> int:
         raise DatasetError("evaluation requires a labeled dataset")
     params = dataio.load_params(args.params, g.features.shape[1], g.n_classes)
     g_f = knn_feature_graph(g.features, cfg.knn_k)
-    split = make_split(g, cfg, cfg.seed)
+    split = make_split(g, cfg)
     value = full_objective(g, g_f, cfg, split.train)(params)
     value.loss.tape.discard()
     out = {}

@@ -21,6 +21,10 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tape, TensorNode
 
+PROP_WEIGHT = 0.8     # weight on the propagated signal in residual layers
+COMMON_MIX = 0.85     # weight on the anchor MLP inside the common-encoder input
+
+
 def glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -92,32 +96,28 @@ def input_mlp(x: sp.csr_array, w1, b1, w2, b2):
     return ad.add_row_bias(ad.matmul(hidden, w2), b2)
 
 
-def residual_gcn_layer(p: sp.csr_array, h_l, h_0, w, prop_weight: float):
-    """One encoder layer: prop_weight * ReLU(P h_l W) + (1 - prop_weight) * h_0."""
-    if not 0.0 <= prop_weight <= 1.0:
-        raise ValueError("prop_weight must lie in [0, 1]")
+def residual_gcn_layer(p: sp.csr_array, h_l, h_0, w):
+    """One encoder layer: PROP_WEIGHT * ReLU(P h_l W) + (1 - PROP_WEIGHT) * h_0."""
     propagated = ad.relu(ad.matmul(ad.spmm(p, h_l), w))
-    return ad.add_scaled(propagated, h_0, prop_weight, 1.0 - prop_weight)
+    return ad.add_scaled(propagated, h_0, PROP_WEIGHT, 1.0 - PROP_WEIGHT)
 
 
-def encoder_forward(p: sp.csr_array, h0, w0, w1, prop_weight: float):
+def encoder_forward(p: sp.csr_array, h0, w0, w1):
     """Two stacked residual layers, both anchored to the encoder input h0."""
-    h1 = residual_gcn_layer(p, h0, h0, w0, prop_weight)
-    return residual_gcn_layer(p, h1, h0, w1, prop_weight)
+    h1 = residual_gcn_layer(p, h0, h0, w0)
+    return residual_gcn_layer(p, h1, h0, w1)
 
 
-def common_input(h_anchor, z, mix: float):
-    """mix * h_anchor + (1 - mix) * z, the common-encoder input for one view."""
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError("mix must lie in [0, 1]")
-    return ad.add_scaled(h_anchor, z, mix, 1.0 - mix)
+def common_input(h_anchor, z):
+    """COMMON_MIX * h_anchor + (1 - COMMON_MIX) * z, the common-encoder input for one view."""
+    return ad.add_scaled(h_anchor, z, COMMON_MIX, 1.0 - COMMON_MIX)
 
 
-def common_encoder(p_t, p_f, h_anchor, z_t, z_f, w0, w1, leaves, mix: float,
-                   prop_weight: float):
-    """Shared-weight encoder over both views plus the linear combiner."""
-    z_ct = encoder_forward(p_t, common_input(h_anchor, z_t, mix), w0, w1, prop_weight)
-    z_cf = encoder_forward(p_f, common_input(h_anchor, z_f, mix), w0, w1, prop_weight)
+def common_encoder(p_t, p_f, h_anchor, z_t, z_f, leaves):
+    """Shared-weight encoder (`common_w0/w1`) over both views plus the linear combiner."""
+    w0, w1 = leaves["common_w0"], leaves["common_w1"]
+    z_ct = encoder_forward(p_t, common_input(h_anchor, z_t), w0, w1)
+    z_cf = encoder_forward(p_f, common_input(h_anchor, z_f), w0, w1)
     z_c = ad.add_row_bias(ad.matmul_cat(z_ct, z_cf, leaves["comb_w0"]), leaves["comb_b0"])
     return z_ct, z_cf, z_c
 
@@ -144,7 +144,7 @@ def predict(z_tilde_t, z_tilde_f, w, b):
 
 
 def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p_f: sp.csr_array,
-                 x: sp.csr_array, prop_weight: float, common_mix: float) -> ForwardState:
+                 x: sp.csr_array) -> ForwardState:
     """One full forward pass; returns the nodes the objective reads plus parameter leaves.
 
     `x` is the feature matrix as a sparse constant (see `input_mlp`).
@@ -152,13 +152,11 @@ def forward_full(tape: Tape, params: dict[str, np.ndarray], p_t: sp.csr_array, p
     leaves = {name: tape.tensor(arr) for name, arr in params.items()}
     h0 = input_mlp(x, leaves["input_w1"], leaves["input_b1"],
                    leaves["input_w2"], leaves["input_b2"])
-    z_t = encoder_forward(p_t, h0, leaves["topo_w0"], leaves["topo_w1"], prop_weight)
-    z_f = encoder_forward(p_f, h0, leaves["feat_w0"], leaves["feat_w1"], prop_weight)
+    z_t = encoder_forward(p_t, h0, leaves["topo_w0"], leaves["topo_w1"])
+    z_f = encoder_forward(p_f, h0, leaves["feat_w0"], leaves["feat_w1"])
     h_anchor = mlp_two_layer(h0, leaves["anchor_w1"], leaves["anchor_b1"],
                              leaves["anchor_w2"], leaves["anchor_b2"])
-    z_ct, z_cf, z_c = common_encoder(p_t, p_f, h_anchor, z_t, z_f,
-                                     leaves["common_w0"], leaves["common_w1"], leaves,
-                                     common_mix, prop_weight)
+    z_ct, z_cf, z_c = common_encoder(p_t, p_f, h_anchor, z_t, z_f, leaves)
     z_tilde_t, z_tilde_f, att_t, att_f, att_c = attention_fuse(z_t, z_f, z_c, leaves)
     logits = predict(z_tilde_t, z_tilde_f, leaves["out_w"], leaves["out_b"])
     return ForwardState(z_t, z_f, z_ct, z_cf, att_t, att_f, att_c, logits, leaves)

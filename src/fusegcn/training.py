@@ -33,8 +33,6 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    prop_weight: float = 0.8      # weight on the propagated signal in residual layers
-    common_mix: float = 0.85      # weight on the anchor MLP inside the common-encoder input
     knn_k: int = 7
     hidden_dim: int = 64
     loss_weights: L.LossWeights = field(default_factory=L.LossWeights)
@@ -54,9 +52,6 @@ class TrainConfig:
         for name in ("lr", "weight_decay"):
             if not 0.0 <= (value := getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("prop_weight", "common_mix"):
-            if not 0.0 <= (value := getattr(self, name)) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -73,15 +68,15 @@ class Split:
             raise ValueError("split sets must be pairwise disjoint")
 
 
-def make_split(g: Graph, cfg: TrainConfig, seed: int) -> Split:
-    """Stratified split: per class, sample train then validation nodes; rest test.
+def make_split(g: Graph, cfg: TrainConfig) -> Split:
+    """Stratified split drawn with `cfg.seed`: per class, train then validation nodes; rest test.
 
     Raises ValueError when a class is too small for its train and validation
     nodes, or when no node is left for the test set.
     """
     if g.labels is None:
         raise ValueError("cannot split an unlabeled graph")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     train, val = [], []
     need = cfg.train_per_class + cfg.val_per_class
     for c in range(g.n_classes):
@@ -226,7 +221,7 @@ def full_objective(g: Graph, g_f: Graph, cfg: TrainConfig, train_nodes: np.ndarr
     y = one_hot(g.labels, g.n_classes)
 
     def objective(arrays: dict[str, np.ndarray]) -> ObjectiveValue:
-        fs = M.forward_full(Tape(), arrays, p_t, p_f, x, cfg.prop_weight, cfg.common_mix)
+        fs = M.forward_full(Tape(), arrays, p_t, p_f, x)
         l_cl = L.classification_loss(fs.logits, y, train_nodes)
         l_c = L.closeness_loss(fs.z_ct, fs.z_cf)
         l_d = L.disparity_loss(fs.z_t, fs.z_ct, fs.z_f, fs.z_cf)
@@ -305,7 +300,7 @@ def _split_and_init_rng(g: Graph, cfg: TrainConfig):
     if g.labels is None:
         raise ValueError("training requires labels")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    return make_split(g, cfg, cfg.seed), rng
+    return make_split(g, cfg), rng
 
 
 def train(g: Graph, g_f: Graph, cfg: TrainConfig):
@@ -357,10 +352,10 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
                          cfg: TrainConfig | None = None):
     """Finite-difference check of the total-loss gradient w.r.t. every parameter.
 
-    Model options and loss weights come from `cfg` (default: all weights 1),
-    sizes and split from the small check instance. One backward pass gives the
-    gradients; every perturbed evaluation is forward-only. Raises ValueError
-    unless n, d and c are at least 1.
+    Loss weights come from `cfg` (default: all weights 1), sizes and split
+    from the small check instance; its biases are drawn small and nonzero. One
+    backward pass gives the gradients; every perturbed evaluation is
+    forward-only. Raises ValueError unless n, d and c are at least 1.
     """
     for name, size in (("n", n), ("d", d), ("c", c)):
         if size < 1:
@@ -370,10 +365,16 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
     cfg = replace(cfg, hidden_dim=hidden, knn_k=max(1, min(3, n - 1)),
                   train_per_class=2, val_per_class=1, seed=seed)
     g = random_check_instance(n, d, c, seed)
-    train_nodes = make_split(g, cfg, seed).train    # fails first on a too small instance
+    train_nodes = make_split(g, cfg).train    # fails first on a too small instance
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     objective = full_objective(g, g_f, cfg, train_nodes)
-    params = M.init_params(d, c, hidden, np.random.default_rng(seed + 1))
+    rng = np.random.default_rng(seed + 1)
+    params = M.init_params(d, c, hidden, rng)
+    # zero biases can leave a node's whole input-MLP row at 0 and every ReLU it
+    # feeds exactly on its kink, where no finite difference matches relu'(0) = 0
+    for nm in params:
+        if M.is_bias(nm):
+            params[nm] = rng.uniform(-0.1, 0.1, size=params[nm].shape)
     names = list(params)
 
     out = objective(params)

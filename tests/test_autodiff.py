@@ -708,7 +708,7 @@ def recorded_tape(name):
         cfg = TrainConfig(hidden_dim=8, knn_k=3, train_per_class=2, val_per_class=1)
         g = random_check_instance()
         objective = full_objective(g, knn_feature_graph(g.features, cfg.knn_k), cfg,
-                                   make_split(g, cfg, cfg.seed).train)
+                                   make_split(g, cfg).train)
         loss = objective(init_params(g.features.shape[1], g.n_classes, cfg.hidden_dim,
                                      np.random.default_rng(1))).loss
         return loss.tape, loss

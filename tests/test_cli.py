@@ -51,6 +51,19 @@ class TestDispatch:
         assert cli_dispatch(["homophily", "--data", str(tmp_path / "missing")]) == 2
         assert "error" in capsys.readouterr().err
 
+    # the two mixing weights are model constants: a config that sets one fails
+    @pytest.mark.parametrize("key", ["prop_weight", "common_mix"])
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_mixing_weight_key_exits_2(self, synth_ds, tmp_path, capsys, command, key):
+        cfg = tmp_path / "mix.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        args = [command, "--config", str(cfg)]
+        if command == "train":
+            args += ["--data", str(synth_ds), "--out", str(tmp_path / "run")]
+        assert cli_dispatch(args) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestHomophilyCommand:
     def test_fixture_values(self, four_node_ds, capsys):
@@ -404,9 +417,9 @@ class TestGradcheckCommand:
         size = ["--nodes", "8", "--dim", "4", "--classes", "2", "--hidden", "5", "--seed", "3"]
         assert cli_dispatch(["gradcheck", *size]) == 0
         default = capsys.readouterr().out
-        cfg = tmp_path / "mix.cfg"
-        cfg.write_text("prop_weight = 0.5\ncommon_mix = 0.3\n")
+        cfg = tmp_path / "weights.cfg"
+        cfg.write_text("closeness_weight = 0.5\n")
         assert cli_dispatch(["gradcheck", "--config", str(cfg), *size]) == 0
-        mixed = capsys.readouterr().out
-        assert "PASS" in mixed
-        assert mixed != default     # the mixing weights changed the checked model
+        weighted = capsys.readouterr().out
+        assert "PASS" in weighted
+        assert weighted != default     # the loss weight changed the checked objective

@@ -495,7 +495,7 @@ class TestConfig:
         cfg = config_to_train_config(parsed)
         assert cfg.lr == 0.005 and cfg.knn_k == 9
         assert cfg.loss_weights.closeness == 0.01
-        assert cfg.prop_weight == 0.8 and cfg.common_mix == 0.85  # defaults kept
+        assert cfg.epochs == 500 and cfg.seed == 0  # defaults kept
 
     # the last three are the removed model switches: an old config naming
     # one must fail, not silently train the one remaining model
@@ -516,9 +516,9 @@ class TestConfig:
 
     def test_keys_follow_train_config(self):
         assert CONFIG_KEYS == {
-            "dataset": str, "out_dir": str, "prop_weight": float, "common_mix": float,
-            "knn_k": int, "hidden_dim": int, "classification_weight": float,
-            "closeness_weight": float, "disparity_weight": float, "lr": float,
+            "dataset": str, "out_dir": str, "knn_k": int, "hidden_dim": int,
+            "classification_weight": float, "closeness_weight": float,
+            "disparity_weight": float, "lr": float,
             "weight_decay": float, "epochs": int, "patience": int, "seed": int,
             "train_per_class": int, "val_per_class": int,
         }

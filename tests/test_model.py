@@ -64,7 +64,7 @@ class TestSparseFeatureInput:
 
         def run():
             t = Tape()
-            fs = M.forward_full(t, params, p_t, p_f, x, 0.8, 0.85)
+            fs = M.forward_full(t, params, p_t, p_f, x)
             backward(t, classification_loss(fs.logits, y, np.arange(10)))
             return fs.logits.value, fs.leaves["input_w1"].grad
 
@@ -98,16 +98,7 @@ class TestSparseFeatureInput:
 
 
 class TestResidualLayer:
-    def test_weight_zero_returns_anchor(self):
-        t = Tape()
-        p = identity_sparse(3)
-        h_l = t.tensor(np.random.default_rng(2).standard_normal((3, 2)))
-        h_0 = t.tensor(np.random.default_rng(3).standard_normal((3, 2)))
-        w = t.tensor(np.random.default_rng(4).standard_normal((2, 2)))
-        out = M.residual_gcn_layer(p, h_l, h_0, w, 0.0)
-        npt.assert_array_equal(out.value, h_0.value)
-
-    def test_weight_one_is_plain_gcn_layer(self):
+    def test_matches_dense_formula(self):
         t = Tape()
         g = make_graph(3, [(0, 1), (1, 2)])
         p = normalized_adjacency(g)
@@ -115,53 +106,45 @@ class TestResidualLayer:
         h_l = t.tensor(rng.standard_normal((3, 2)))
         h_0 = t.tensor(rng.standard_normal((3, 2)))
         w = t.tensor(rng.standard_normal((2, 2)))
-        out = M.residual_gcn_layer(p, h_l, h_0, w, 1.0)
-        expect = np.maximum(p.toarray() @ h_l.value @ w.value, 0.0)
+        out = M.residual_gcn_layer(p, h_l, h_0, w)
+        propagated = np.maximum(p.toarray() @ h_l.value @ w.value, 0.0)
+        expect = M.PROP_WEIGHT * propagated + (1.0 - M.PROP_WEIGHT) * h_0.value
         npt.assert_allclose(out.value, expect, rtol=1e-14)
 
     def test_scalar_hand_case(self):
         t = Tape()
         p = identity_sparse(1)
         out = M.residual_gcn_layer(p, t.tensor([[2.0]]), t.tensor([[5.0]]),
-                                   t.tensor([[1.0]]), 0.8)
-        assert out.item() == pytest.approx(2.6)
-
-    def test_prop_weight_range_checked(self):
-        t = Tape()
-        p = identity_sparse(1)
-        with pytest.raises(ValueError):
-            M.residual_gcn_layer(p, t.tensor([[1.0]]), t.tensor([[1.0]]),
-                                 t.tensor([[1.0]]), 1.5)
+                                   t.tensor([[1.0]]))
+        assert out.item() == pytest.approx(0.8 * 2.0 + 0.2 * 5.0)
 
 
 class TestEncoder:
-    def test_prop_weight_zero_passes_input_through(self):
+    def test_scalar_hand_case(self):
         t = Tape()
-        g = make_graph(4, [(0, 1), (2, 3)])
-        p = normalized_adjacency(g)
-        rng = np.random.default_rng(6)
-        h0 = t.tensor(rng.standard_normal((4, 3)))
-        w0, w1 = t.tensor(rng.standard_normal((3, 3))), t.tensor(rng.standard_normal((3, 3)))
-        out = M.encoder_forward(p, h0, w0, w1, 0.0)
-        npt.assert_array_equal(out.value, h0.value)
+        p = identity_sparse(1)
+        h0 = t.tensor([[1.0]])
+        # layer 1: 0.8 * relu(1 * 2) + 0.2 * 1 = 1.8; layer 2 clips 1.8 * -1 to 0
+        out = M.encoder_forward(p, h0, t.tensor([[2.0]]), t.tensor([[-1.0]]))
+        assert out.item() == pytest.approx(0.2)
+        out = M.encoder_forward(p, h0, t.tensor([[2.0]]), t.tensor([[3.0]]))
+        assert out.item() == pytest.approx(0.8 * 1.8 * 3.0 + 0.2)
 
     def test_identity_graph_identity_weights_nonnegative(self):
         t = Tape()
         p = identity_sparse(3)
         h0 = t.tensor(np.abs(np.random.default_rng(7).standard_normal((3, 3))))
         eye = lambda: t.tensor(np.eye(3))
-        out = M.encoder_forward(p, h0, eye(), eye(), 0.8)
+        out = M.encoder_forward(p, h0, eye(), eye())
         npt.assert_allclose(out.value, h0.value, rtol=1e-15)
 
 
 class TestCommonPath:
-    def test_common_input_extremes(self):
+    def test_common_input_hand_case(self):
         t = Tape()
         h = t.tensor([[1.0]])
         z = t.tensor([[3.0]])
-        assert M.common_input(h, z, 1.0).item() == 1.0
-        assert M.common_input(h, z, 0.0).item() == 3.0
-        assert M.common_input(h, z, 0.85).item() == pytest.approx(1.3)
+        assert M.common_input(h, z).item() == pytest.approx(0.85 * 1.0 + 0.15 * 3.0)
 
     def test_shared_encoder_symmetry_and_zero_closeness(self):
         # same graph and same view embedding on both sides + one shared
@@ -172,11 +155,11 @@ class TestCommonPath:
         t = Tape()
         h_anchor = t.tensor(rng.standard_normal((8, 6)))
         z = t.tensor(rng.standard_normal((8, 6)))
-        w0 = t.tensor(rng.standard_normal((6, 6)))
-        w1 = t.tensor(rng.standard_normal((6, 6)))
-        leaves = {"comb_w0": t.tensor(rng.standard_normal((12, 6))),
+        leaves = {"common_w0": t.tensor(rng.standard_normal((6, 6))),
+                  "common_w1": t.tensor(rng.standard_normal((6, 6))),
+                  "comb_w0": t.tensor(rng.standard_normal((12, 6))),
                   "comb_b0": t.tensor(np.zeros((1, 6)))}
-        z_ct, z_cf, _ = M.common_encoder(p, p, h_anchor, z, z, w0, w1, leaves, 0.85, 0.8)
+        z_ct, z_cf, _ = M.common_encoder(p, p, h_anchor, z, z, leaves)
         npt.assert_array_equal(z_ct.value, z_cf.value)
         assert closeness_loss(z_ct, z_cf).item() == 0.0
 
@@ -282,7 +265,7 @@ class TestFullModel:
         rng = np.random.default_rng(22)
         params = M.init_params(4, 2, 6, rng)
         t = Tape()
-        fs = M.forward_full(t, params, p_t, p_f, g.features, 0.8, 0.85)
+        fs = M.forward_full(t, params, p_t, p_f, g.features)
         from fusegcn.losses import disparity_loss, total_loss
         l_cl = classification_loss(fs.logits, one_hot(g.labels, 2), np.array([0, 1, 2, 3]))
         l_c = closeness_loss(fs.z_ct, fs.z_cf)
@@ -294,26 +277,3 @@ class TestFullModel:
     def test_end_to_end_gradient_check_small(self):
         report = model_gradient_check(n=8, d=4, c=2, hidden=5, seed=3)
         assert report.passed, str(report)
-
-    def test_mixing_knob_regression_guard(self):
-        # prop_weight=1 and common_mix=0: residual anchors and the anchor MLP
-        # must drop out of the forward values entirely.
-        g = random_check_instance(n=8, d=4, c=2, seed=23)
-        g_f = knn_feature_graph(g.features, 3)
-        p_t, p_f = normalized_adjacency(g), normalized_adjacency(g_f)
-        rng = np.random.default_rng(24)
-        params = M.init_params(4, 2, 6, rng)
-        x = sp.csr_array(g.features)
-        t = Tape()
-        fs = M.forward_full(t, params, p_t, p_f, x, 1.0, 0.0)
-        # rebuild z_t by hand with plain (non-residual) layers
-        leaves = {k: t.tensor(v) for k, v in params.items()}
-        h0 = M.input_mlp(x, leaves["input_w1"], leaves["input_b1"],
-                         leaves["input_w2"], leaves["input_b2"])
-        l1 = ad.relu(ad.matmul(ad.spmm(p_t, h0), leaves["topo_w0"]))
-        l2 = ad.relu(ad.matmul(ad.spmm(p_t, l1), leaves["topo_w1"]))
-        npt.assert_array_equal(fs.z_t.value, l2.value)
-        # common input with mix=0 is the view embedding itself
-        zin = ad.relu(ad.matmul(ad.spmm(p_t, fs.z_t), leaves["common_w0"]))
-        zct = ad.relu(ad.matmul(ad.spmm(p_t, zin), leaves["common_w1"]))
-        npt.assert_array_equal(fs.z_ct.value, zct.value)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -57,8 +59,6 @@ class TestTrainConfig:
         # each of these breaks training or early stopping; the message names
         # the field and its value
         for bad, message in ((dict(epochs=0), "epochs must be >= 1, got 0"),
-                             (dict(prop_weight=1.2), r"prop_weight must lie in \[0, 1\], got 1.2"),
-                             (dict(common_mix=-0.1), r"common_mix must lie in \[0, 1\], got -0.1"),
                              (dict(val_per_class=0), "val_per_class must be >= 1, got 0"),
                              (dict(train_per_class=-3), "train_per_class must be >= 1, got -3"),
                              (dict(patience=0), "patience must be >= 1, got 0"),
@@ -82,8 +82,8 @@ class TestTrainConfig:
 class TestMakeSplit:
     def test_counts_two_classes(self):
         g = generate_synthetic(SynthSpec(200, 2, seed=1))
-        cfg = TrainConfig(train_per_class=40, val_per_class=20)
-        s = make_split(g, cfg, seed=5)
+        cfg = TrainConfig(train_per_class=40, val_per_class=20, seed=5)
+        s = make_split(g, cfg)
         assert len(s.train) == 80 and len(s.val) == 40 and len(s.test) == 80
         for c in (0, 1):
             assert np.count_nonzero(g.labels[s.train] == c) == 40
@@ -91,25 +91,27 @@ class TestMakeSplit:
 
     def test_disjoint_and_total(self):
         g = generate_synthetic(SynthSpec(150, 3, seed=2))
-        s = make_split(g, TrainConfig(train_per_class=10, val_per_class=5), seed=9)
+        s = make_split(g, TrainConfig(train_per_class=10, val_per_class=5, seed=9))
         all_ids = np.concatenate([s.train, s.val, s.test])
         assert len(np.unique(all_ids)) == 150
 
     def test_deterministic(self):
         g = generate_synthetic(SynthSpec(150, 3, seed=3))
-        cfg = TrainConfig(train_per_class=10, val_per_class=5)
-        a, b = make_split(g, cfg, seed=4), make_split(g, cfg, seed=4)
+        cfg = TrainConfig(train_per_class=10, val_per_class=5, seed=4)
+        a, b = make_split(g, cfg), make_split(g, cfg)
         npt.assert_array_equal(a.train, b.train)
         npt.assert_array_equal(a.val, b.val)
+        # the draw follows the config's seed
+        assert not np.array_equal(make_split(g, replace(cfg, seed=5)).train, a.train)
 
     def test_class_too_small_errors(self):
         g = generate_synthetic(SynthSpec(30, 2, seed=4))
         with pytest.raises(ValueError, match="class"):
-            make_split(g, TrainConfig(train_per_class=14, val_per_class=5), seed=0)
+            make_split(g, TrainConfig(train_per_class=14, val_per_class=5))
         # every class exactly fills train + validation: no test node is left
         g = generate_synthetic(SynthSpec(400, 5, seed=4))
         with pytest.raises(ValueError, match="no test nodes"):
-            make_split(g, TrainConfig(train_per_class=40, val_per_class=40), seed=0)
+            make_split(g, TrainConfig(train_per_class=40, val_per_class=40))
 
     def test_split_disjointness_validated(self):
         with pytest.raises(ValueError):
@@ -219,10 +221,10 @@ class TestTrain:
         best_val = max(r.val_acc for r in trace.records)
         assert trace.records[trace.best_epoch - 1].val_acc == best_val
         # re-run the forward with the returned params: matches the recorded epoch
-        split = make_split(g, cfg, cfg.seed)
+        split = make_split(g, cfg)
         tape = Tape()
         fs = M.forward_full(tape, params, normalized_adjacency(g), normalized_adjacency(g_f),
-                            g.features, cfg.prop_weight, cfg.common_mix)
+                            g.features)
         val_acc, _ = evaluate(fs.logits.value, g.labels, split.val)
         assert val_acc == best_val
 
@@ -328,7 +330,7 @@ class TestFinalPass:
     def test_final_scores_equal_best_epoch(self, monkeypatch, baseline):
         g, g_f = small_dataset(seed=21)
         cfg = small_cfg(epochs=12)
-        split = make_split(g, cfg, cfg.seed)
+        split = make_split(g, cfg)
         test_preds = []
 
         def recording_evaluate(y_hat, labels, node_set):
@@ -368,32 +370,42 @@ def cosine_missing_term(a, b):
 
 
 class TestReluKink:
-    """`fusegcn gradcheck` at prop_weight = 0.6 (seed 1, default sizes): an
-    attention ReLU's pre-activation lies within eps of 0 at att_c_b1 (0, 7),
-    so the central difference there averages the two sides of the kink."""
+    """`fusegcn gradcheck --seed 119` (default sizes and config): a feature-encoder
+    ReLU's pre-activation lies within eps of 0 at feat_w0 (1, 3) and (5, 3), so
+    the central difference there averages the two sides of the kink."""
 
-    CFG = TrainConfig(prop_weight=0.6)
+    SEED = 119
 
     def test_kink_is_listed_not_failed(self):
-        report = model_gradient_check(seed=1, cfg=self.CFG)
+        report = model_gradient_check(seed=self.SEED)
         assert report.passed, str(report)
         kinks = [(e.name, *k) for e in report.entries for k in e.kinks]
-        assert len(kinks) == 1
-        name, idx, fwd, bwd, grad = kinks[0]
-        assert (name, idx) == ("att_c_b1", (0, 7))
-        assert grad == pytest.approx(bwd, rel=1e-6) and fwd < 0.0 < grad
-        assert "kink at (0, 7) forward fd=" in str(report)
-        assert str(report).endswith("-> PASS (1 kink excluded)")
+        assert [(name, idx) for name, idx, *_ in kinks] == [("feat_w0", (1, 3)),
+                                                             ("feat_w0", (5, 3))]
+        # the gradient takes the backward side at (1, 3), the forward side at (5, 3)
+        (_, _, fwd, bwd, grad), (_, _, fwd5, bwd5, grad5) = kinks
+        assert grad == pytest.approx(bwd, rel=1e-4) and fwd != pytest.approx(bwd, rel=1e-3)
+        assert grad5 == pytest.approx(fwd5, rel=1e-4) and fwd5 != pytest.approx(bwd5, rel=1e-3)
+        assert "kink at (1, 3) forward fd=" in str(report)
+        assert str(report).endswith("-> PASS (2 kinks excluded)")
 
     @pytest.mark.parametrize("op, mutant", [("relu", relu_scaled_backward),
                                             ("mean_row_cosine", cosine_missing_term)])
     def test_wrong_backward_still_fails(self, monkeypatch, op, mutant):
         monkeypatch.setattr(ad, op, mutant)
-        report = model_gradient_check(seed=1, cfg=self.CFG)
+        report = model_gradient_check(seed=self.SEED)
         assert not report.passed
 
 
 class TestModelGradientCheck:
+    @pytest.mark.parametrize("seed", [8, 14])
+    def test_passes_where_zero_biases_kill_a_row(self, seed):
+        # with all-zero biases these seeds give a node an all-zero input-MLP row,
+        # which puts every ReLU it feeds on its kink; at seed 14 that node is
+        # also isolated, so the closeness loss meets a zero row
+        report = model_gradient_check(seed=seed)
+        assert report.passed, str(report)
+
     def test_one_backward_pass(self, backward_calls):
         # every perturbed evaluation is forward-only
         report = model_gradient_check(8, 3, 2, 4, 1)
