@@ -45,8 +45,9 @@ its dense node operand only.
 The classification loss is one operator on the logits, ``softmax_cross_entropy``;
 no probability is formed or clamped before its log.
 
-``unit_rows`` is the one row normalization, run by ``l2_normalize_rows`` and
-by the kNN graph (``graphs.knn_feature_graph``).
+``unit_rows`` is the one row normalization, run by ``l2_normalize_rows``,
+``mean_row_cosine`` and the kNN graph (``graphs.knn_feature_graph``), so a
+row's scale changes none of their values.
 
 ``finite_diff_check`` is the independent gradient oracle: central differences
 of a loss-only function against the gradients the caller passes in.
@@ -368,32 +369,28 @@ def gram_distance_sq(a: TensorNode, b: TensorNode) -> TensorNode:
 def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     """(1/N) * sum_i cos(a_i, b_i) as a scalar node.
 
-    Each row's squared norms must be positive normal float64s, so that
-    neither the value nor the gradient overflows or loses precision to
-    subnormals; the norm product then lies between them and is normal too.
-    Otherwise a ValueError names the first such row.
-    A row with a non-finite entry is not checked and gives a NaN value.
+    Each row's unit vector and norm come from `unit_rows`, so a row's scale
+    does not change its cosine, and its gradient scales by 1/scale; rows must
+    be nonzero. A row with a non-finite entry gives a NaN value.
+    The VJP binds both operands, the norms and the cosines, and forms no
+    product of two norms, which could leave float64's range.
     """
     if a.shape != b.shape:
         raise ValueError(f"mean_row_cosine shape mismatch: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    with np.errstate(over="ignore"):   # to inf: reported below
-        ssa = np.add.reduce(av * av, axis=1, keepdims=True)
-        ssb = np.add.reduce(bv * bv, axis=1, keepdims=True)
-    bad = np.flatnonzero(~(_normal(ssa) & _normal(ssb))[:, 0])
-    bad = bad[np.isfinite(av[bad]).all(axis=1) & np.isfinite(bv[bad]).all(axis=1)]
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"mean_row_cosine undefined on row {i}: its squared norms "
-                         f"{ssa[i, 0]:.3e} and {ssb[i, 0]:.3e} leave float64's normal range")
-    ra, rb = np.sqrt(ssa), np.sqrt(ssb)
-    rab = ra * rb
+    ua, ra = unit_rows(av)
+    ub, rb = unit_rows(bv)
+    if not (ra.all() and rb.all()):
+        i = np.flatnonzero((ra == 0.0) | (rb == 0.0))[0]
+        raise ValueError(f"mean_row_cosine undefined on zero row {i}")
+    cos = (ua * ub).sum(axis=1, keepdims=True)
+    del ua, ub
     n = a.shape[0]
-    cos = (av * bv).sum(axis=1, keepdims=True) / rab
 
     def vjp(g):
         g = g[0, 0] / n
-        return g * (bv / rab - cos * av / (ra * ra)), g * (av / rab - cos * bv / (rb * rb))
+        return ((bv * (1.0 / rb) - av * (cos / ra)) * (g / ra),
+                (av * (1.0 / ra) - bv * (cos / rb)) * (g / rb))
 
     return _op([[cos.sum() / n]], vjp, a, b)
 
@@ -424,15 +421,15 @@ def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _rel_error(x: float, y: float) -> float | None:
-    """|x - y| / max(|x|, |y|); None where both magnitudes fall below 1e-6,
-    where a difference quotient is dominated by cancellation noise."""
+def _rel_error(x: float, y: float, noise: float) -> float | None:
+    """max(|x - y| - noise, 0) / max(|x|, |y|), with `noise` the rounding
+    bound of a difference quotient; None where both magnitudes fall below 1e-6."""
     denom = max(abs(x), abs(y))
-    return abs(x - y) / denom if denom >= 1e-6 else None
+    return max(abs(x - y) - noise, 0.0) / denom if denom >= 1e-6 else None
 
 
-def _agree(x: float, y: float, tolerance: float) -> bool:
-    err = _rel_error(x, y)
+def _agree(x: float, y: float, tolerance: float, noise: float) -> bool:
+    err = _rel_error(x, y, noise)
     return err is None or err <= tolerance
 
 
@@ -481,17 +478,20 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
 
     `loss_fn(params)` returns the loss as a float; `params` (float64 arrays,
     perturbed in place and restored) and `grads` align. Relative error per
-    coordinate is |fd - g| / max(|fd|, |g|); coordinates where both magnitudes
-    fall below 1e-6 count as matched, since there the difference quotient is
-    dominated by cancellation noise. A non-finite difference quotient or
-    gradient counts as relative error inf. Each entry names its worst coordinate.
+    coordinate is max(|fd - g| - r, 0) / max(|fd|, |g|), where
+    r = 2^-52 * max(|L(x + eps)|, |L(x - eps)|) / eps bounds the rounding of
+    the quotient, so round-off in L does not fail a correct gradient;
+    coordinates where both magnitudes fall below 1e-6 count as matched. A
+    non-finite difference quotient or gradient counts as relative error inf.
+    Each entry names its worst coordinate.
 
     A coordinate over `tolerance` is a kink, not an error, when the loss has a
     kink (a ReLU switching, say) within eps of it: the forward and backward
     quotients (L(x + eps) - L(x)) / eps and (L(x) - L(x - eps)) / eps differ by
     more than `tolerance`, and the gradient matches one of them within
-    `tolerance`. Kinks are listed with both quotients and left out of
-    max_rel_error. A wrong gradient matches neither side, so it still fails.
+    `tolerance`, each judged with twice the bound r. Kinks are listed with
+    both quotients and left out of max_rel_error. A wrong gradient matches
+    neither side, so it still fails.
     Raises ValueError unless `eps` is finite and positive and `tolerance`
     finite and non-negative.
     """
@@ -516,15 +516,18 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5, tolerance: floa
             if not (np.isfinite(fd) and np.isfinite(g[idx])):
                 err = np.inf
             else:
-                err = _rel_error(fd, g[idx])
+                noise = 2.0 ** -52 * max(abs(lp), abs(lm)) / eps   # the bound r
+                err = _rel_error(fd, g[idx], noise)
                 if err is None:
                     continue
                 if err > tolerance:
                     if l0 is None:
                         l0 = loss_fn(params)
                     fwd, bwd = (lp - l0) / eps, (l0 - lm) / eps
-                    if (not _agree(fwd, bwd, tolerance)
-                            and (_agree(fwd, g[idx], tolerance) or _agree(bwd, g[idx], tolerance))):
+                    noise *= 2.0   # a one-sided quotient divides by eps, not 2 eps
+                    if (not _agree(fwd, bwd, tolerance, noise)
+                            and (_agree(fwd, g[idx], tolerance, noise)
+                                 or _agree(bwd, g[idx], tolerance, noise))):
                         entry.kinks.append((idx, fwd, bwd, g[idx]))
                         continue
             if entry.worst_index is None or err > entry.max_rel_error:

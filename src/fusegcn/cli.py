@@ -44,9 +44,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("train", help="train a model; writes metrics.json, trace.csv, params.npz")
-    p.add_argument("--data", help="dataset directory (overrides config `dataset`)")
+    p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--config", help="config file with `key = value` lines")
-    p.add_argument("--out", help="output directory (overrides config `out_dir`)")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--model", choices=["full", "gcn", "knn-gcn"], default="full")
 
@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the model gradient")
-    p.add_argument("--config")
     p.add_argument("--nodes", type=int, default=12)
     p.add_argument("--dim", type=int, default=5)
     p.add_argument("--classes", type=int, default=3)
@@ -109,18 +108,14 @@ def _check_seed(seed: int | None) -> None:
 
 def _load_config(path, seed_override=None):
     _check_seed(seed_override)
-    cfg_dict = dataio.parse_config(path) if path else {}
-    cfg = dataio.config_to_train_config(cfg_dict, seed_override)
-    return cfg, cfg_dict
+    return dataio.config_to_train_config(dataio.parse_config(path) if path else {},
+                                         seed_override)
 
 
 def _cmd_train(args) -> int:
-    cfg, cfg_dict = _load_config(args.config, args.seed)
-    data_dir = args.data or cfg_dict.get("dataset")
-    if not data_dir:
-        raise UsageError("train: provide --data or a config with `dataset`")
-    out_dir = Path(args.out or cfg_dict.get("out_dir") or "run_out")
-    g = dataio.load_dataset(data_dir)
+    cfg = _load_config(args.config, args.seed)
+    out_dir = Path(args.out)
+    g = dataio.load_dataset(args.data)
     if g.labels is None:
         raise DatasetError("training requires a labeled dataset")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,7 +133,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg, _ = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config, args.seed)
     g = dataio.load_dataset(args.data)
     if g.labels is None:
         raise DatasetError("evaluation requires a labeled dataset")
@@ -184,7 +179,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, _ = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config, args.seed)
     g = dataio.load_dataset(args.data)
     if g.labels is None:
         raise DatasetError("the sweep requires a labeled dataset")
@@ -223,10 +218,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     _check_seed(args.seed)
-    cfg = _load_config(args.config, args.seed)[0] if args.config else None
     report = model_gradient_check(n=args.nodes, d=args.dim, c=args.classes,
                                   hidden=args.hidden, seed=args.seed, eps=args.eps,
-                                  tolerance=args.tolerance, cfg=cfg)
+                                  tolerance=args.tolerance)
     print(report)
     return 0 if report.passed else 1
 

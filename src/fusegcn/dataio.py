@@ -20,8 +20,8 @@ is reported, which need not be the lowest line.
 
 Saving canonicalizes ordering, so a load/save round trip is byte-stable.
 Config files are flat `key = value` lines with `#` comments; unknown keys
-are an error. The keys are the fields of `TrainConfig`, one
-`<name>_weight` per field of `LossWeights`, and `dataset`/`out_dir`.
+are an error. The keys are the fields of `TrainConfig` and one
+`<name>_weight` per field of `LossWeights`.
 """
 
 from __future__ import annotations
@@ -235,8 +235,6 @@ _WEIGHT_FIELDS = typing.get_type_hints(LossWeights)
 CONFIG_KEYS = {
     **{name: typ for name, typ in _TRAIN_FIELDS.items() if name != "loss_weights"},
     **{f"{name}_weight": typ for name, typ in _WEIGHT_FIELDS.items()},
-    "dataset": str,
-    "out_dir": str,
 }
 
 

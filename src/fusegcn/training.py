@@ -15,7 +15,7 @@ Early stopping keeps the best validation epoch's parameters and test scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -335,11 +335,13 @@ def train_baseline(g: Graph, cfg: TrainConfig, graph_for_propagation: Graph | No
 # whole-model gradient verification
 # ---------------------------------------------------------------------------
 
-def random_check_instance(n: int = 12, d: int = 5, c: int = 3, seed: int = 0,
-                          edge_prob: float = 0.35):
+CHECK_EDGE_PROB = 0.35  # edge probability of the gradient-check graph
+
+
+def random_check_instance(n: int = 12, d: int = 5, c: int = 3, seed: int = 0):
     """Small labeled random graph for gradient checking (balanced labels)."""
     rng = np.random.default_rng(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < CHECK_EDGE_PROB]
     if not edges and n > 1:
         edges = [(0, 1)]
     labels = np.arange(n) % c
@@ -348,22 +350,21 @@ def random_check_instance(n: int = 12, d: int = 5, c: int = 3, seed: int = 0,
 
 
 def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
-                         seed: int = 0, eps: float = 1e-5, tolerance: float = 1e-4,
-                         cfg: TrainConfig | None = None):
+                         seed: int = 0, eps: float = 1e-5, tolerance: float = 1e-4):
     """Finite-difference check of the total-loss gradient w.r.t. every parameter.
 
-    Loss weights come from `cfg` (default: all weights 1), sizes and split
-    from the small check instance; its biases are drawn small and nonzero. One
-    backward pass gives the gradients; every perturbed evaluation is
-    forward-only. Raises ValueError unless n, d and c are at least 1.
+    All three loss weights are 1, so every term is checked at full weight;
+    sizes and split come from the small check instance, whose biases are
+    drawn small and nonzero. One backward pass gives the gradients; every
+    perturbed evaluation is forward-only. Raises ValueError unless n, d and
+    c are at least 1.
     """
     for name, size in (("n", n), ("d", d), ("c", c)):
         if size < 1:
             raise ValueError(f"model_gradient_check: {name} must be >= 1, got {size}")
-    if cfg is None:
-        cfg = TrainConfig(loss_weights=L.LossWeights(1.0, 1.0, 1.0))
-    cfg = replace(cfg, hidden_dim=hidden, knn_k=max(1, min(3, n - 1)),
-                  train_per_class=2, val_per_class=1, seed=seed)
+    cfg = TrainConfig(knn_k=max(1, min(3, n - 1)), hidden_dim=hidden,
+                      loss_weights=L.LossWeights(1.0, 1.0, 1.0),
+                      train_per_class=2, val_per_class=1, seed=seed)
     g = random_check_instance(n, d, c, seed)
     train_nodes = make_split(g, cfg).train    # fails first on a too small instance
     g_f = knn_feature_graph(g.features, cfg.knn_k)

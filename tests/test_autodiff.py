@@ -860,17 +860,43 @@ class TestExtremeRows:
         npt.assert_array_equal(g[1], g_ref[1])
         npt.assert_allclose(g[0] * scale, g_ref[0], rtol=1e-14)
 
+    @staticmethod
+    def cosine(a, b):
+        t = Tape()
+        na, nb = t.tensor(a), t.tensor(b)
+        out = ad.mean_row_cosine(na, nb)
+        backward(t, out)
+        return out.item(), na.grad, nb.grad
+
     @pytest.mark.parametrize("scale", SCALES)
-    def test_mean_row_cosine_names_the_row(self, scale):
+    def test_mean_row_cosine_ignores_row_scale(self, scale):
+        other = np.array([[2.0, -1.0, 0.5], [1.0, 1.0, 1.0]])
+        v_ref, ga_ref, gb_ref = self.cosine(self.ROW, other)
         x = self.ROW.copy()
         x[1] *= scale
+        for scaled_first in (True, False):   # the cosine is symmetric
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if scaled_first:
+                    v, g_scaled, g_other = self.cosine(x, other)
+                else:
+                    v, g_other, g_scaled = self.cosine(other, x)
+            assert v == pytest.approx(v_ref, rel=1e-15)
+            # a row scaled by s has gradient / s; its partner row keeps its
+            # value, and the ordinary row keeps its bits
+            npt.assert_allclose(g_scaled[1] * scale, ga_ref[1], rtol=1e-14)
+            npt.assert_allclose(g_other[1], gb_ref[1], rtol=1e-14)
+            npt.assert_array_equal(g_scaled[0], ga_ref[0])
+            npt.assert_array_equal(g_other[0], gb_ref[0])
+
+    def test_mean_row_cosine_names_a_zero_row(self):
+        x = self.ROW.copy()
+        x[1] = 0.0
         t = Tape()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="undefined on row 1: .* normal range"):
-                ad.mean_row_cosine(t.tensor(x), t.tensor(self.ROW))
-            with pytest.raises(ValueError, match="undefined on row 1"):
-                ad.mean_row_cosine(t.tensor(self.ROW), t.tensor(x))
+        with pytest.raises(ValueError, match="undefined on zero row 1"):
+            ad.mean_row_cosine(t.tensor(x), t.tensor(self.ROW))
+        with pytest.raises(ValueError, match="undefined on zero row 1"):
+            ad.mean_row_cosine(t.tensor(self.ROW), t.tensor(x))
 
     def test_mean_row_cosine_non_finite_row_gives_nan(self):
         # left to the training loop's non-finite loss check
@@ -1050,6 +1076,20 @@ class TestFiniteDiffCheck:
         for wrong in (1.01, 0.5):
             report = finite_diff_check(hinge, [theta], [np.array([[wrong, 1.0]])])
             assert not report.passed and report.entries[0].kinks == []
+
+    def test_round_off_of_a_large_loss_passes(self):
+        # L = 1000 + 1e-5 x: the central quotient's numerator 2e-10 carries
+        # rounding of about ulp(1000) = 1.1e-13, a relative error near 5e-4
+        # against a gradient of 1e-5; it lies within the bound
+        # 2^-52 * 1000 / eps = 2.3e-8, while a gradient 1% off does not
+        def offset_line(params):
+            return float(1000.0 + 1e-5 * params[0].sum())
+
+        theta = np.linspace(0.1, 0.9, 9).reshape(3, 3)
+        report = finite_diff_check(offset_line, [theta], [np.full((3, 3), 1e-5)])
+        assert report.passed and report.max_rel_error == 0.0, str(report)
+        report = finite_diff_check(offset_line, [theta], [np.full((3, 3), 1.01e-5)])
+        assert not report.passed and report.max_rel_error > 5e-3
 
     def test_wrong_gradient_fails(self):
         theta = np.ones((2, 2))

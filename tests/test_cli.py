@@ -52,14 +52,15 @@ class TestDispatch:
         assert "error" in capsys.readouterr().err
 
     # the two mixing weights are model constants: a config that sets one fails
+    # in every command that reads a config
     @pytest.mark.parametrize("key", ["prop_weight", "common_mix"])
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
     def test_mixing_weight_key_exits_2(self, synth_ds, tmp_path, capsys, command, key):
         cfg = tmp_path / "mix.cfg"
         cfg.write_text(f"{key} = 0.5\n")
-        args = [command, "--config", str(cfg)]
-        if command == "train":
-            args += ["--data", str(synth_ds), "--out", str(tmp_path / "run")]
+        args = [command, "--config", str(cfg), "--data", str(synth_ds)]
+        args += (["--params", str(tmp_path / "params.npz")] if command == "eval"
+                 else ["--out", str(tmp_path / "run")])
         assert cli_dispatch(args) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -85,6 +86,24 @@ class TestTrainCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert metrics["epochs_run"] == 6
+
+    # the paths come from --data and --out only
+    @pytest.mark.parametrize("flag", ["--data", "--out"])
+    def test_missing_path_flag_exits_1(self, synth_ds, tmp_path, capsys, flag):
+        paths = {"--data": str(synth_ds), "--out": str(tmp_path / "run")}
+        del paths[flag]
+        assert cli_dispatch(["train", *(x for kv in paths.items() for x in kv)]) == 1
+        assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["dataset", "out_dir"])
+    def test_path_config_key_exits_2(self, synth_ds, tmp_path, capsys, key):
+        cfg = tmp_path / "paths.cfg"
+        cfg.write_text(f"{key} = {tmp_path / 'elsewhere'}\n")
+        assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
+                             "--out", str(tmp_path / "run")]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_zero_lr_flat_trace(self, synth_ds, tmp_path):
         cfg = tiny_config(tmp_path, lr=0.0, weight_decay=0.0, epochs=4)
@@ -412,14 +431,9 @@ class TestGradcheckCommand:
         out = capsys.readouterr()
         assert message in out.err and out.out == ""
 
-    def test_config_model_options_apply_to_check_instance(self, tmp_path, capsys):
-        # the config's default split sizes are larger than the 8-node check instance
-        size = ["--nodes", "8", "--dim", "4", "--classes", "2", "--hidden", "5", "--seed", "3"]
-        assert cli_dispatch(["gradcheck", *size]) == 0
-        default = capsys.readouterr().out
+    def test_config_flag_exits_1(self, tmp_path, capsys):
+        # the check has one configuration: all three loss weights are 1
         cfg = tmp_path / "weights.cfg"
         cfg.write_text("closeness_weight = 0.5\n")
-        assert cli_dispatch(["gradcheck", "--config", str(cfg), *size]) == 0
-        weighted = capsys.readouterr().out
-        assert "PASS" in weighted
-        assert weighted != default     # the loss weight changed the checked objective
+        assert cli_dispatch(["gradcheck", "--config", str(cfg)]) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err

@@ -484,16 +484,16 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "# a comment\n"
-            "dataset = data/acm\n"
+            "patience = 30\n"
             "lr = 0.005\n"
             "knn_k = 9   # inline comment\n"
             "closeness_weight = 0.01\n"
         )
         parsed = parse_config(cfg_file)
-        assert parsed == {"dataset": "data/acm", "lr": 0.005, "knn_k": 9,
+        assert parsed == {"patience": 30, "lr": 0.005, "knn_k": 9,
                           "closeness_weight": 0.01}
         cfg = config_to_train_config(parsed)
-        assert cfg.lr == 0.005 and cfg.knn_k == 9
+        assert cfg.patience == 30 and cfg.lr == 0.005 and cfg.knn_k == 9
         assert cfg.loss_weights.closeness == 0.01
         assert cfg.epochs == 500 and cfg.seed == 0  # defaults kept
 
@@ -516,7 +516,7 @@ class TestConfig:
 
     def test_keys_follow_train_config(self):
         assert CONFIG_KEYS == {
-            "dataset": str, "out_dir": str, "knn_k": int, "hidden_dim": int,
+            "knn_k": int, "hidden_dim": int,
             "classification_weight": float, "closeness_weight": float,
             "disparity_weight": float, "lr": float,
             "weight_decay": float, "epochs": int, "patience": int, "seed": int,

@@ -413,6 +413,7 @@ class TestModelGradientCheck:
         assert len(backward_calls) == 1
 
     def test_loss_weights_come_from_the_config(self, monkeypatch):
+        # the check has one configuration: every loss term at full weight
         seen = []
 
         def recording_objective(g, g_f, cfg, train_nodes):
@@ -420,7 +421,12 @@ class TestModelGradientCheck:
             return full_objective(g, g_f, cfg, train_nodes)
 
         monkeypatch.setattr(training, "full_objective", recording_objective)
-        weights = LossWeights(2.0, 0.5, 0.25)
         model_gradient_check(8, 2, 2, 2, 0)
-        model_gradient_check(8, 2, 2, 2, 0, cfg=TrainConfig(loss_weights=weights))
-        assert seen == [LossWeights(1.0, 1.0, 1.0), weights]
+        assert seen == [LossWeights(1.0, 1.0, 1.0)]
+
+    def test_round_off_is_not_an_error(self):
+        # at seed 35 the worst coordinate, att_t_w1 (5, 2), has a gradient
+        # near 1.2e-6, where the central quotient's rounding alone reached a
+        # relative error of 1.3e-4 before the rounding bound was subtracted
+        report = model_gradient_check(seed=35)
+        assert report.passed, str(report)
