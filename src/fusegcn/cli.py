@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be comma-separated integers") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fusegcn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -81,7 +88,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic block-model dataset")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--class-sizes", help="comma-separated sizes (default near-equal)")
+    p.add_argument("--class-sizes", type=_int_list,
+                   help="comma-separated sizes (default near-equal)")
     p.add_argument("--p-in", type=float, default=0.05)
     p.add_argument("--p-out", type=float, default=0.005)
     p.add_argument("--dim", type=int, default=16)
@@ -197,18 +205,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    sizes = None
-    if args.class_sizes:
-        try:
-            sizes = tuple(int(s) for s in args.class_sizes.split(","))
-        except ValueError:
-            raise UsageError("synth: --class-sizes must be comma-separated integers") from None
-    try:
-        spec = SynthSpec(args.nodes, args.classes, class_sizes=sizes,
-                         p_intra=args.p_in, p_inter=args.p_out, n_features=args.dim,
-                         mean_separation=args.sep, noise_scale=args.noise, seed=args.seed)
-    except ValueError as e:
-        raise DatasetError(f"synth: {e}") from None
+    spec = SynthSpec(args.nodes, args.classes, class_sizes=args.class_sizes,
+                     p_intra=args.p_in, p_inter=args.p_out, n_features=args.dim,
+                     mean_separation=args.sep, noise_scale=args.noise, seed=args.seed)
     g = generate_synthetic(spec)
     dataio.save_dataset(g, args.out)
     het = f", homophily {homophily_ratio(g):.4f}" if g.n_edges else ""  # undefined without edges

@@ -9,8 +9,10 @@ A dataset is a directory of TSV files with headers:
     features.sparse.tsv   node_id feature_index value triples
 
 Feature values must be finite, and a sparse file names each (node_id,
-feature_index) pair at most once; a meta key appears at most once.
+feature_index) pair at most once; a meta key appears at most once; n_classes
+is the highest label + 1, or 0 without a label column.
 
+One reader (`_read_table`) and one writer (`_write_table`) serve every table.
 A table is checked in order: the header's fields (the dense header follows
 n_features), each line's field count (`expected W columns, got K`, also for
 the header), tokens (parsed in blocks of rows, so a wide file never has all
@@ -18,7 +20,8 @@ its tokens alive at once), then row checks that each test a whole column and
 name its first offending line. With several faults the first in check order
 is reported, which need not be the lowest line.
 
-Saving canonicalizes ordering, so a load/save round trip is byte-stable.
+Saving writes canonical order, so for every directory that loads, a further
+load/save round trip is byte-stable.
 Config files are flat `key = value` lines with `#` comments; unknown keys
 are an error. The keys are the fields of `TrainConfig` and one
 `<name>_weight` per field of `LossWeights`.
@@ -44,42 +47,32 @@ class DatasetError(Exception):
     """Malformed dataset directory or config file."""
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # dataset save / load
 # ---------------------------------------------------------------------------
+
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """Write the TSV `header`, then one line per row, each value as `str` (`repr` for a float)."""
+    with open(path, "w") as f:
+        f.write("\t".join(header) + "\n")
+        for row in rows:
+            f.write("\t".join(map(str, row)) + "\n")
+
 
 def save_dataset(g: Graph, path) -> None:
     """Write `g` under `path` in canonical order (deterministic bytes)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    n_classes = g.n_classes if g.labels is not None else 0
-    with open(path / "meta.tsv", "w") as f:
-        f.write("key\tvalue\n")
-        f.write(f"n_nodes\t{g.n_nodes}\n")
-        f.write(f"n_classes\t{n_classes}\n")
-        f.write(f"n_features\t{g.features.shape[1]}\n")
-    with open(path / "nodes.tsv", "w") as f:
-        if g.labels is not None:
-            f.write("node_id\tlabel\n")
-            for i in range(g.n_nodes):
-                f.write(f"{i}\t{g.labels[i]}\n")
-        else:
-            f.write("node_id\n")
-            for i in range(g.n_nodes):
-                f.write(f"{i}\n")
-    with open(path / "edges.tsv", "w") as f:
-        f.write("src\tdst\n")
-        for i, j in g.edges:
-            f.write(f"{i}\t{j}\n")
-    with open(path / "features.tsv", "w") as f:
-        d = g.features.shape[1]
-        f.write("node_id\t" + "\t".join(f"f{c}" for c in range(d)) + "\n")
-        for i in range(g.n_nodes):
-            f.write(str(i) + "\t" + "\t".join(_fmt(v) for v in g.features[i]) + "\n")
+    n, d = g.features.shape
+    labeled = g.labels is not None
+    _write_table(path / "meta.tsv", ["key", "value"], [
+        ("n_nodes", n), ("n_classes", g.n_classes if labeled else 0), ("n_features", d)])
+    _write_table(path / "nodes.tsv", ["node_id", "label"] if labeled else ["node_id"],
+                 zip(range(n), g.labels) if labeled else zip(range(n)))
+    _write_table(path / "edges.tsv", ["src", "dst"], g.edges)
+    # one row at a time: the whole matrix as Python floats takes 4x its array's memory
+    _write_table(path / "features.tsv", ["node_id", *(f"f{c}" for c in range(d))],
+                 ([i, *row.tolist()] for i, row in enumerate(g.features)))
 
 
 _BLOCK_CELLS = 1 << 16      # cells tokenized and parsed at a time
@@ -183,6 +176,10 @@ def load_dataset(path) -> Graph:
     if labels is not None:
         _check((labels < 0) | (labels >= n_classes), nodes_path,
                lambda i: f"label {labels[i]} outside [0, {n_classes})")
+    top = int(labels.max()) + 1 if labels is not None and n else 0   # as save_dataset writes
+    if n_classes != top:
+        raise DatasetError(f"{meta_path}: n_classes is {n_classes}, but must be {top}, "
+                           "the highest label + 1 (0 without a label column)")
 
     edges_path = path / "edges.tsv"
     raw, = _read_table(edges_path, ["src", "dst"], [(np.int64, 2)])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,23 +37,12 @@ class InjectionBudgetError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    levels: tuple[float, ...]     # target heterophily per step, ascending
-    seeds: tuple[int, ...]        # injection seed per step
+class SweepPlan(NamedTuple):
+    """`make_sweep_plan` gives one seed per level and rising levels up to MAX_SWEEP_LEVEL;
+    `required_edges` checks each level of a plan built by hand."""
 
-    def __post_init__(self):
-        lv = np.asarray(self.levels)
-        if len(self.levels) != len(self.seeds):
-            raise ValueError("one seed per level required")
-        if lv.size == 0:
-            raise ValueError("a sweep needs at least one level")
-        if not np.isfinite(lv).all():
-            raise ValueError(f"levels must be finite, got {self.levels}")
-        if np.any(np.diff(lv) <= 0):
-            raise ValueError("levels must be strictly increasing")
-        if lv[-1] > MAX_SWEEP_LEVEL + 1e-12:
-            raise ValueError(f"levels must not exceed {MAX_SWEEP_LEVEL}")
+    levels: tuple[float, ...]     # target heterophily per step
+    seeds: tuple[int, ...]        # injection seed per step
 
 
 def make_sweep_plan(g: Graph, seed: int = 0, n_levels: int = SWEEP_LEVELS,
@@ -60,6 +50,9 @@ def make_sweep_plan(g: Graph, seed: int = 0, n_levels: int = SWEEP_LEVELS,
     """Linearly spaced heterophily targets from the graph's own level to max_level."""
     if n_levels < 1:
         raise ValueError(f"a sweep needs at least one level, got n_levels={n_levels}")
+    if not (np.isfinite(max_level) and max_level <= MAX_SWEEP_LEVEL):
+        raise ValueError(f"levels must be finite and at most {MAX_SWEEP_LEVEL}, "
+                         f"got max_level={max_level}")
     h_init = 1.0 - homophily_ratio(g)
     if h_init >= max_level:
         raise ValueError(f"graph heterophily {h_init:.3f} already at or above {max_level}")

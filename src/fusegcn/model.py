@@ -133,8 +133,9 @@ def attention_fuse(z_t, z_f, z_c, leaves):
                             leaves[f"att_{ch}_w2"], leaves[f"att_{ch}_b2"])
               for ch, z in (("t", z_t), ("f", z_f), ("c", z_c))]
     att_t, att_f, att_c = (ad.sigmoid(s) for s in scores)
-    z_tilde_t = ad.add_scaled(ad.hadamard(att_t, z_t), ad.hadamard(att_c, z_c), 1.0, 1.0)
-    z_tilde_f = ad.add_scaled(ad.hadamard(att_f, z_f), ad.hadamard(att_c, z_c), 1.0, 1.0)
+    gated_c = ad.hadamard(att_c, z_c)
+    z_tilde_t = ad.add_scaled(ad.hadamard(att_t, z_t), gated_c, 1.0, 1.0)
+    z_tilde_f = ad.add_scaled(ad.hadamard(att_f, z_f), gated_c, 1.0, 1.0)
     return z_tilde_t, z_tilde_f, att_t, att_f, att_c
 
 

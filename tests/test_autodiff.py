@@ -491,6 +491,27 @@ class TestBackwardMechanics:
         with pytest.raises(TapeError):
             ad.hadamard(a, b)
 
+    # a (4, 3) node `a` and a (4, 1) node `b`: without their guards the first
+    # three operators would broadcast b against a without a word
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda a, b: ad.add_scaled(a, b, 1.0, 1.0), ValueError,
+         r"add_scaled shape mismatch: \(4, 3\) vs \(4, 1\)"),
+        (ad.add_row_bias, ValueError, r"bias shape \(4, 1\) does not match columns of \(4, 3\)"),
+        (ad.hadamard, ValueError, r"hadamard shape mismatch: \(4, 3\) vs \(4, 1\)"),
+        (ad.mean_row_cosine, ValueError, r"mean_row_cosine shape mismatch: \(4, 3\) vs \(4, 1\)"),
+        (lambda a, b: b.item(), ValueError, r"item\(\) requires a scalar node"),
+        (lambda a, b: a.tape.tensor(np.ones(3)), ValueError,
+         r"tape values must be 2-D, got shape \(3,\)"),
+        (lambda a, b: backward(Tape(), sum_sq(a)), TapeError,
+         "loss node does not belong to this tape"),
+    ], ids=["add_scaled", "add_row_bias", "hadamard", "mean_row_cosine", "item",
+            "tensor", "backward"])
+    def test_argument_checks(self, call, error, message):
+        t = Tape()
+        a, b = t.tensor(np.ones((4, 3))), t.tensor(np.ones((4, 1)))
+        with pytest.raises(error, match=message):
+            call(a, b)
+
     def test_gradient_additivity(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((3, 3))

@@ -11,6 +11,7 @@ from fusegcn.cli import cli_dispatch
 from fusegcn.dataio import load_dataset, save_dataset
 from fusegcn.graphs import homophily_ratio
 from fusegcn.heterophily import InjectionBudgetError, SynthSpec, generate_synthetic
+from fusegcn.training import model_gradient_check
 from tests.test_autodiff import tapes_left_by
 from tests.test_graphs import make_graph
 
@@ -336,8 +337,14 @@ class TestGraphCommands:
     def test_synth_negative_size_or_seed_named(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x"
         assert cli_dispatch(["synth", *flags, "--out", str(out)]) == 2
-        assert f"error: synth: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_synth_class_sizes_not_integers_exits_1(self, tmp_path, capsys):
+        assert cli_dispatch(["synth", "--nodes", "6", "--classes", "2", "--class-sizes", "3,x",
+                             "--out", str(tmp_path / "x")]) == 1
+        assert "argument --class-sizes: must be comma-separated integers" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--p-in", "0", "--p-out", "0"],
@@ -395,6 +402,36 @@ class TestSweepCommand:
                              flag, value]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", ["1", "2", "10"])
+    @pytest.mark.parametrize("max_het", ["0.99", "inf"])
+    def test_max_het_bound_whatever_the_level_count(self, synth_ds, tmp_path, capsys,
+                                                     levels, max_het):
+        # warnings are errors: no numpy RuntimeWarning may precede the message
+        assert cli_dispatch(["sweep", "--data", str(synth_ds), "--config",
+                             str(tiny_config(tmp_path)), "--out", str(tmp_path / "sw"),
+                             "--levels", levels, "--max-het", max_het]) == 2
+        assert capsys.readouterr().err == (
+            f"error: levels must be finite and at most 0.95, got max_level={float(max_het)}\n")
+        assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", "training requires a labeled dataset"),
+    ("eval", "evaluation requires a labeled dataset"),
+    ("sweep", "the sweep requires a labeled dataset"),
+])
+def test_unlabeled_dataset_exits_2(synth_ds, tmp_path, capsys, command, message):
+    unlabeled = tmp_path / "knn"
+    assert cli_dispatch(["knn-graph", "--data", str(synth_ds), "--k", "3",
+                         "--out", str(unlabeled)]) == 0
+    capsys.readouterr()
+    args = [command, "--data", str(unlabeled)]
+    args += (["--params", str(tmp_path / "params.npz")] if command == "eval"
+             else ["--out", str(tmp_path / "run")])
+    assert cli_dispatch(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
 
 class TestGradcheckCommand:
     def test_small_gradcheck_passes(self, capsys):
@@ -402,6 +439,11 @@ class TestGradcheckCommand:
                            "--hidden", "5", "--seed", "3"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_library_default_is_the_command_default(self, capsys):
+        # one default seed: criterion 1 and the README quote `fusegcn gradcheck`
+        assert cli_dispatch(["gradcheck"]) == 0
+        assert capsys.readouterr().out == f"{model_gradient_check()}\n"
 
     def test_negative_seed_exits_2(self, capsys):
         assert cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",

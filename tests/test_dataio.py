@@ -54,6 +54,18 @@ class TestRoundTrip:
         for name in ("meta.tsv", "nodes.tsv", "edges.tsv", "features.tsv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_n_classes_must_be_what_save_writes(self, tmp_path, labeled):
+        # meta saying 3 classes over labels {0, 1} used to load and save back as 2
+        g = Graph.from_edges(4, [(0, 1), (2, 3)], np.eye(4), [0, 1, 1, 0] if labeled else None)
+        save_dataset(g, tmp_path / "ds")
+        meta = tmp_path / "ds" / "meta.tsv"
+        meta.write_text(meta.read_text().replace(f"n_classes\t{2 if labeled else 0}",
+                                                 "n_classes\t3"))
+        want = 2 if labeled else 0
+        with pytest.raises(DatasetError, match=f"n_classes is 3, but must be {want}"):
+            load_dataset(tmp_path / "ds")
+
     def test_empty_edge_graph_header_only(self, tmp_path):
         from fusegcn.graphs import Graph
         g = Graph.from_edges(3, [], np.eye(3), [0, 1, 0])
@@ -508,6 +520,17 @@ class TestConfig:
         with pytest.raises(DatasetError, match=f"unknown config key '{key}'"):
             parse_config(cfg_file)
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file .* does not exist"),
+        ("epochs 5\n", ":1: expected `key = value`"),
+    ])
+    def test_unreadable_config(self, tmp_path, text, message):
+        cfg_file = tmp_path / "run.cfg"
+        if text is not None:
+            cfg_file.write_text(text)
+        with pytest.raises(DatasetError, match=message):
+            parse_config(cfg_file)
+
     def test_bad_value_type(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("epochs = soon\n")
@@ -575,6 +598,10 @@ class TestParamsRoundTrip:
         assert set(loaded) == set(params)
         for k in params:
             npt.assert_array_equal(loaded[k], params[k])
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"params file .*p\.npz does not exist"):
+            load_params(tmp_path / "p.npz", 5, 3)
 
     @pytest.mark.parametrize("d, c", [(6, 3), (5, 2)])
     def test_shape_mismatch_names_file_and_counts(self, tmp_path, d, c):

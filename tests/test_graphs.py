@@ -152,6 +152,27 @@ class TestGraphInvariants:
     def test_canonical_edges_empty(self):
         assert canonical_edges([], 4).shape == (0, 2)
 
+    # the constructor takes its edges as given: each case breaks one invariant
+    @pytest.mark.parametrize("n, edges, features, labels, message", [
+        (0, np.empty((0, 2)), np.ones((0, 1)), None, "at least one node"),
+        (3, [0, 1], np.ones((3, 1)), None, r"an \(m, 2\) array"),
+        (3, [[0, 5]], np.ones((3, 1)), None, "endpoint out of range"),
+        (3, [[1, 0]], np.ones((3, 1)), None, "canonical"),
+        (3, [[0, 2], [0, 1]], np.ones((3, 1)), None, "sorted and free of duplicates"),
+        (3, [[0, 1], [0, 1]], np.ones((3, 1)), None, "sorted and free of duplicates"),
+        (3, [[0, 1]], np.ones((2, 1)), None, r"an \(n_nodes, d\) matrix"),
+        (3, [[0, 1]], np.ones(3), None, r"an \(n_nodes, d\) matrix"),
+        (3, [[0, 1]], np.ones((3, 1)), [0, -1, 1], "nonnegative class ids"),
+    ])
+    def test_constructor_checks(self, n, edges, features, labels, message):
+        labels = None if labels is None else np.array(labels)
+        with pytest.raises(ValueError, match=message):
+            Graph(n, np.asarray(edges, dtype=np.int64), features, labels)
+
+    def test_unlabeled_graph_has_no_class_count(self):
+        with pytest.raises(ValueError, match="graph has no labels"):
+            make_graph(3, [(0, 1)]).n_classes
+
 
 class TestNormalizedAdjacency:
     def test_single_node(self):

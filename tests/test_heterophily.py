@@ -127,6 +127,21 @@ class TestRequiredEdges:
                 assert (n_cross + k - 1) / (m + k - 1) < target
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: required_edges(make_graph(4, [(0, 1)]), 0.5), "heterophily targets require labels"),
+    (lambda: required_edges(make_graph(4, [], labels=[0, 1, 0, 1]), 0.5),
+     "undefined heterophily: empty edge set"),
+    (lambda: inject_heterophilous_edges(make_graph(4, [(0, 1)]), 1, seed=0),
+     "injection requires labels"),
+    (lambda: inject_heterophilous_edges(make_graph(4, [(0, 1)], labels=[0] * 4), 1, seed=0),
+     "need at least two classes"),
+], ids=["required_edges unlabeled", "required_edges edgeless", "inject unlabeled",
+        "inject one class"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestInjection:
     def test_zero_k_identity(self):
         g = graph_with_counts(10, 2)
@@ -414,14 +429,10 @@ class TestSweepPlan:
             make_sweep_plan(g)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            SweepPlan((0.5, 0.4), (1, 2))
-        with pytest.raises(ValueError):
-            SweepPlan((0.5, 0.99), (1, 2))
-
-    def test_empty_levels_rejected(self):
-        with pytest.raises(ValueError, match="at least one level"):
-            SweepPlan((), ())
+        # the bound holds on max_level itself, whatever the level count
+        for n_levels in (1, 2, 10):
+            with pytest.raises(ValueError, match="at most 0.95, got max_level=0.99"):
+                make_sweep_plan(graph_with_counts(10, 2), n_levels=n_levels, max_level=0.99)
 
     @pytest.mark.parametrize("n_levels", [0, -2])
     def test_level_count_named(self, n_levels):
@@ -429,10 +440,17 @@ class TestSweepPlan:
             make_sweep_plan(graph_with_counts(10, 2), n_levels=n_levels)
 
     def test_non_finite_levels_rejected(self):
-        with pytest.raises(ValueError, match="levels must be finite"):
-            SweepPlan((0.2, float("nan")), (1, 2))
-        with pytest.raises(ValueError, match="levels must be finite"):
-            make_sweep_plan(graph_with_counts(10, 2), max_level=float("nan"))
+        for max_level in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=f"finite.*got max_level={max_level}"):
+                make_sweep_plan(graph_with_counts(10, 2), max_level=float(max_level))
+
+    @pytest.mark.parametrize("level", [float("nan"), 1.0, 0.05])
+    def test_hand_built_plan_checked_per_level(self, level):
+        # 0.05 is below the graph's own heterophily, 2/12
+        g = graph_with_counts(10, 2)
+        with pytest.raises(ValueError, match="target heterophily"):
+            heterophily_sweep(g, knn_feature_graph(g.features, 3), SweepPlan((level,), (1,)),
+                              TrainConfig(epochs=1))
 
 
 def tiny_cfg(**kw):
@@ -501,6 +519,8 @@ class TestGenerateSynthetic:
             SynthSpec(10, 2, p_intra=1.5)
         with pytest.raises(ValueError):
             SynthSpec(10, 2, class_sizes=(3, 3))
+        with pytest.raises(ValueError, match="one size per class required"):
+            SynthSpec(10, 2, class_sizes=(10,))
         with pytest.raises(ValueError, match="one feature"):
             SynthSpec(10, 2, n_features=0)
         with pytest.raises(ValueError, match="n_nodes must be >= 1, got -3"):

@@ -13,7 +13,6 @@ from fusegcn import model as M
 from fusegcn.autodiff import Tape, backward
 from fusegcn import training
 from fusegcn.training import (
-    Split,
     TrainConfig,
     adam_step,
     attention_norm_trace,
@@ -113,9 +112,10 @@ class TestMakeSplit:
         with pytest.raises(ValueError, match="no test nodes"):
             make_split(g, TrainConfig(train_per_class=40, val_per_class=40))
 
-    def test_split_disjointness_validated(self):
-        with pytest.raises(ValueError):
-            Split(np.array([0, 1]), np.array([1, 2]), np.array([3]))
+    def test_unlabeled_graph_rejected(self):
+        g = knn_feature_graph(generate_synthetic(SynthSpec(30, 2, seed=4)).features, 3)
+        with pytest.raises(ValueError, match="cannot split an unlabeled graph"):
+            make_split(g, TrainConfig())
 
 
 class TestAdamStep:
@@ -193,6 +193,12 @@ class TestAttentionNormTrace:
 
 
 class TestTrain:
+    def test_feature_graph_over_other_nodes_rejected(self):
+        g, _ = small_dataset(seed=5)
+        _, g_f = small_dataset(seed=5, n=50)
+        with pytest.raises(ValueError, match="feature graph must cover the same nodes"):
+            train(g, g_f, small_cfg())
+
     def test_zero_lr_flat(self):
         g, g_f = small_dataset(seed=5)
         cfg = small_cfg(lr=0.0, weight_decay=0.0, epochs=4)
