@@ -9,16 +9,25 @@ A dataset is a directory of TSV files with headers:
     features.sparse.tsv   node_id feature_index value triples
 
 Feature values must be finite, and a sparse file names each (node_id,
-feature_index) pair at most once; a meta key appears at most once; n_classes
-is the highest label + 1, or 0 without a label column.
+feature_index) pair at most once; a meta key appears at most once; n_nodes is
+at least 1 and n_features at least 0; n_classes is the highest label + 1, or 0
+without a label column.
 
 One reader (`_read_table`) and one writer (`_write_table`) serve every table.
 A table is checked in order: the header's fields (the dense header follows
 n_features), each line's field count (`expected W columns, got K`, also for
-the header), tokens (parsed in blocks of rows, so a wide file never has all
-its tokens alive at once), then row checks that each test a whole column and
-name its first offending line. With several faults the first in check order
-is reported, which need not be the lowest line.
+the header), tokens, then row checks that each test a whole column and name
+its first offending line. With several faults the first in check order is
+reported, which need not be the lowest line.
+
+Every table but meta.tsv is all numeric. A well-formed one is parsed by one C
+pass (`np.loadtxt`) per column group, straight into its arrays, once a tab
+count of the whole file shows W fields per line in all. The pass runs only on
+ASCII text without \x1f, where its tokens are those of `int` and `float`
+under numpy 2.4.6 (the floor in pyproject.toml): numpy 1.23-1.26 still read an
+integer through a float, with only a DeprecationWarning. The token reader (tokens parsed in blocks of rows, so a wide file never has all
+its tokens alive at once) runs only where the pass fails or cannot be trusted,
+and it names the first fault in the check order above.
 
 Saving writes canonical order, so for every directory that loads, a further
 load/save round trip is byte-stable.
@@ -97,12 +106,25 @@ def _read_table(path: Path, header: list[str], dtypes) -> list[np.ndarray]:
         raise DatasetError(f"{path}:1: expected {width} columns, got {len(got)}")
     if got != header:
         raise DatasetError(f"{path}:1: expected header {header}, got {got}")
-    body = path.read_text().splitlines()[1:]
+    text = path.read_text()
+    # numpy's C reader takes some non-ASCII letters as digits and strips \x1f
+    # as whitespace, where int() and float() reject both
+    plain = text.isascii() and "\x1f" not in text
+    n_tabs = text.count("\t")
+    body = text.splitlines()[1:]
+    del text
+    bounds = np.cumsum([0, *(k for _, k in dtypes)])
+    # `usecols` ignores extra fields, but with the whole file's tab count right
+    # a line with one too many forces a line with one too few, which raises
+    if (body and plain and n_tabs == (width - 1) * (len(body) + 1)
+            and all(np.issubdtype(dtype, np.number) for dtype, _ in dtypes)):
+        tables = _c_parse(body, dtypes, bounds)
+        if tables is not None:
+            return tables
     # per line, so that a long line and a short line cannot cancel out
     tabs = np.fromiter(map(str.count, body, repeat("\t")), dtype=np.int64, count=len(body))
     _check(tabs != width - 1, path,
            lambda i: f"expected {width} columns, got {tabs[i] + 1}")
-    bounds = np.cumsum([0, *(k for _, k in dtypes)])
     tables = [np.empty((len(body), k), dtype) for dtype, k in dtypes]
     step = max(1, _BLOCK_CELLS // width)
     for start in range(0, len(body), step):
@@ -111,6 +133,21 @@ def _read_table(path: Path, header: list[str], dtypes) -> list[np.ndarray]:
         for table, lo, hi in zip(tables, bounds, bounds[1:]):
             table[start:start + len(block)] = _parse(cells[:, lo:hi], table.dtype, path, start)
     return tables
+
+
+def _c_parse(body: list[str], dtypes, bounds) -> list[np.ndarray] | None:
+    """Each column group of the lines `body` read by `np.loadtxt`, or None where
+    it raises or skips a line (a blank one): the token path then names the fault."""
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines only warns; its row count falls back below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            tables = [np.loadtxt(body, dtype=dtype, delimiter="\t", usecols=range(lo, hi),
+                                 ndmin=2, comments=None, quotechar=None)
+                      for (dtype, _), lo, hi in zip(dtypes, bounds, bounds[1:])]
+    except (ValueError, OverflowError):
+        return None
+    return tables if all(t.shape[0] == len(body) for t in tables) else None
 
 
 def _check(bad: np.ndarray, path: Path, message) -> None:
@@ -161,6 +198,9 @@ def load_dataset(path) -> Graph:
     for key in ("n_nodes", "n_classes", "n_features"):
         if key not in meta:
             raise DatasetError(f"{meta_path}: missing key {key}")
+    for key, least in (("n_nodes", 1), ("n_features", 0)):
+        if meta[key] < least:
+            raise DatasetError(f"{meta_path}: {key} must be >= {least}, got {meta[key]}")
     n, n_classes, d = meta["n_nodes"], meta["n_classes"], meta["n_features"]
 
     nodes_path = path / "nodes.tsv"

@@ -179,7 +179,8 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
     is selected in row blocks of about 2**20 entries: the entries at or above
     the row's k-th largest value are kept in one comparison pass, and only a
     row with more than k of them (a tie at the k-th value) keeps the
-    lowest-index tied entries that fill its k.
+    lowest-index tied entries that fill its k. The block's neighbour indices
+    are its kept entries' flat positions modulo n, in row order.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -215,7 +216,7 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
             room = k - np.count_nonzero(above, axis=1)
             keep[tied_rows] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
                                                <= room[:, None]))
-        nbrs[r0:r0 + block] = np.nonzero(keep)[1].reshape(-1, k)
+        nbrs[r0:r0 + block] = (np.flatnonzero(keep) % n).reshape(-1, k)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edges = canonical_edges(np.stack([src, nbrs.ravel()], axis=1), n)
     return Graph(n, edges, x, None)

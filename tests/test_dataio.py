@@ -74,6 +74,12 @@ class TestRoundTrip:
         g2 = load_dataset(tmp_path / "e")
         assert g2.n_edges == 0
 
+    def test_no_feature_columns_round_trip(self, tmp_path):
+        save_dataset(Graph.from_edges(3, [(0, 2)], np.zeros((3, 0)), [0, 1, 0]), tmp_path / "d0")
+        g = load_dataset(tmp_path / "d0")
+        assert g.features.shape == (3, 0) and g.features.dtype == np.float64
+        npt.assert_array_equal(g.edges, [[0, 2]])
+
 
 class TestLoadValidation:
     def make_valid(self, tmp_path):
@@ -193,6 +199,53 @@ class TestLoadValidation:
         with pytest.raises(DatasetError,
                            match=r"meta\.tsv:5: duplicate key 'n_nodes' \(first on line 2\)"):
             load_dataset(ds)
+
+    @pytest.mark.parametrize("n_nodes, n_features, message", [
+        (0, 2, "n_nodes must be >= 1, got 0"),
+        (-1, 2, "n_nodes must be >= 1, got -1"),
+        (1, -3, "n_features must be >= 0, got -3"),
+    ])
+    def test_meta_sizes_checked_where_meta_is_read(self, tmp_path, n_nodes, n_features,
+                                                   message):
+        # tables with no data lines, so that only meta.tsv can be at fault
+        _write_lines(tmp_path / "meta.tsv", ["key\tvalue", f"n_nodes\t{n_nodes}",
+                                             "n_classes\t0", f"n_features\t{n_features}"])
+        _write_lines(tmp_path / "nodes.tsv", ["node_id", *map(str, range(n_nodes))])
+        _write_lines(tmp_path / "edges.tsv", ["src\tdst"])
+        _write_lines(tmp_path / "features.sparse.tsv", ["node_id\tfeature_index\tvalue"])
+        with pytest.raises(DatasetError, match=re.escape(f"meta.tsv: {message}")):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse", "unlabeled"])
+    def test_well_formed_tables_skip_the_token_parser(self, tmp_path, monkeypatch, fmt):
+        # meta.tsv has a string column, so only it is parsed token by token
+        if fmt == "unlabeled":
+            ds = tmp_path / fmt
+            save_dataset(knn_feature_graph(random_graph(2).features, 3), ds)
+        else:
+            ds = _dataset(tmp_path, fmt)
+        parse = dataio._parse
+
+        def meta_only(cells, dtype, path, start):
+            if path.name != "meta.tsv":
+                raise AssertionError(f"{path.name} reached the token parser")
+            return parse(cells, dtype, path, start)
+
+        monkeypatch.setattr(dataio, "_parse", meta_only)
+        load_dataset(ds)
+
+    @pytest.mark.parametrize("line, dtypes", [
+        ("2.7\t1", [(np.int64, 2)]),                      # edges.tsv
+        ("0\t1.5", [(np.int64, 2)]),                      # nodes.tsv with labels
+        ("0\t1e0\t0.5", [(np.int64, 2), (np.float64, 1)]),    # features.sparse.tsv
+    ])
+    def test_c_pass_rejects_a_float_token_in_an_int_column(self, line, dtypes):
+        # numpy 1.23-1.26 read such a token through a float and only warn,
+        # which would load 2.7 as 2 where the token reader names the fault
+        bounds = np.cumsum([0, *(k for _, k in dtypes)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert dataio._c_parse([line], dtypes, bounds) is None
 
     @pytest.mark.parametrize("n_features, header, message", [
         (4, "garbage", "expected 5 columns, got 1"),
@@ -423,6 +476,23 @@ SINGLE_FAULTS = [
     ("unrecognized nodes header", "dense", "nodes.tsv", _line(0, "id\tlabel")),
     ("empty file", "dense", "edges.tsv", lambda lines: []),
     ("missing file", "dense", "nodes.tsv", None),
+    ("underscore int", "dense", "edges.tsv", _field(1, 1, "1_0")),
+    ("float in int column", "dense", "nodes.tsv", _field(3, 1, "1.0")),
+    ("quoted int", "dense", "edges.tsv", _field(1, 0, '"0"')),
+    ("int with comment", "dense", "nodes.tsv", _field(2, 1, "1#c")),
+    ("empty int", "dense", "edges.tsv", _field(1, 1, "")),
+    ("empty float", "dense", "features.tsv", _field(2, 3, "")),
+    ("float overflow", "dense", "features.tsv", _field(4, 1, "1e500")),
+    ("sparse nan", "sparse", SPARSE, _field(4, 2, "nan")),
+    ("Infinity", "dense", "features.tsv", _field(2, 4, "Infinity")),
+    ("hex float", "sparse", SPARSE, _field(3, 2, "0x1p3")),
+    ("unit separator in int", "dense", "nodes.tsv", _field(2, 1, "1\x1f")),
+    ("unit separator in float", "dense", "features.tsv", _field(3, 1, "\x1f0.5")),
+    ("non-ASCII letter in int", "dense", "nodes.tsv", _field(3, 1, "1\u196e")),
+    ("blank line in one-column nodes", "dense", "nodes.tsv",
+     lambda lines: ["node_id", "0", "", "2", "3", "4", "5"]),
+    ("only blank lines in one-column nodes", "dense", "nodes.tsv",
+     lambda lines: ["node_id"] + [""] * 6),
 ]
 
 # the loader names these `expected W columns, got K`; only `path:line` is compared
@@ -437,6 +507,39 @@ COLUMN_FAULTS = [
     ("short sparse line", "sparse", SPARSE, _line(2, "0\t1")),
     ("short edge header", "dense", "edges.tsv", _line(0, "src")),
     ("long meta header", "dense", "meta.tsv", _line(0, "key\tvalue\tnote")),
+    ("blank middle edge line", "dense", "edges.tsv", lambda lines: lines[:1] + [""] + lines[1:]),
+    ("extra dense field", "dense", "features.tsv",
+     lambda lines: _line(3, lines[3] + "\t0.5")(lines)),
+    ("missing sparse field", "sparse", SPARSE,
+     lambda lines: _line(4, lines[4].rsplit("\t", 1)[0])(lines)),
+]
+
+
+def _on_lines(edit):
+    return lambda text: "".join(line + "\n" for line in edit(text.splitlines()))
+
+
+# (case, feature format, file, edit of its text); each loads as the reference loads it
+VALID_EDITS = [
+    ("plus sign", "dense", "nodes.tsv", _on_lines(_field(1, 0, "+0"))),
+    ("spaces around an int", "dense", "features.tsv", _on_lines(_field(1, 0, " 0 "))),
+    ("Arabic-Indic digit", "dense", "nodes.tsv", _on_lines(_field(2, 0, "\u0661"))),
+    ("underscore float", "dense", "features.tsv", _on_lines(_field(2, 1, "1_0.5"))),
+    ("negative zero", "dense", "features.tsv", _on_lines(_field(3, 2, "-0.0"))),
+    ("subnormal", "sparse", SPARSE, _on_lines(_field(2, 2, "4.9e-324"))),
+    # 2**53 + 1 and a bit: the nearest double is 2**53 + 2, not the even 2**53
+    ("55-digit decimal", "dense", "features.tsv",
+     _on_lines(_field(4, 3, "9007199254740993." + "0" * 38 + "1"))),
+    ("CRLF", "dense", "edges.tsv", lambda text: text.replace("\n", "\r\n")),
+    ("CRLF sparse", "sparse", SPARSE, lambda text: text.replace("\n", "\r\n")),
+    ("no final newline", "dense", "features.tsv", lambda text: text[:-1]),
+]
+
+# (fault, feature format, file, edit of its lines, the loader's message after `path:`);
+# the reference takes these values as Python ints and names another fault
+PINNED_FAULTS = [
+    ("int64 overflow", "dense", "edges.tsv", _field(1, 1, "99999999999999999999"),
+     "2: expected an integer, got '99999999999999999999'"),
 ]
 
 
@@ -489,6 +592,30 @@ class TestLoaderMatchesReference:
         got, want = _messages(tmp_path, fmt, name, edit)
         assert got.split(": ", 1)[0] == want.split(": ", 1)[0]
         assert re.search(r": expected \d+ columns, got \d+$", got)
+
+    @pytest.mark.parametrize("case, fmt, name, edit", VALID_EDITS,
+                             ids=[v[0] for v in VALID_EDITS])
+    def test_valid_tokens_load_identically(self, tmp_path, case, fmt, name, edit):
+        ds = _dataset(tmp_path, fmt)
+        with open(ds / name, newline="") as f:
+            text = f.read()
+        with open(ds / name, "w", newline="") as f:
+            f.write(edit(text))
+        g, ref = load_dataset(ds), _reference_load(ds)
+        assert g.n_nodes == ref.n_nodes
+        for got, want in ((g.edges, ref.edges), (g.features, ref.features),
+                          (g.labels, ref.labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fault, fmt, name, edit, message", PINNED_FAULTS,
+                             ids=[f[0] for f in PINNED_FAULTS])
+    def test_pinned_message(self, tmp_path, fault, fmt, name, edit, message):
+        ds = _dataset(tmp_path, fmt)
+        _write_lines(ds / name, edit((ds / name).read_text().splitlines()))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(ds)
+        assert str(err.value) == f"{ds / name}:{message}"
 
 
 class TestConfig:

@@ -325,6 +325,17 @@ class TestInjectionMatchesScalarLoop:
                                _scalar_inject(g, k, k + 1).edges)
         assert any(s is None for s in resumes) and any(s is not None for s in resumes)
 
+    def test_near_saturation(self):
+        # the batch size follows the absent cross pairs' share, so it departs
+        # most from twice the missing edges when few of those pairs are left
+        labels = np.repeat([0, 1], 100)
+        cross = np.random.default_rng(5).permutation(100 * 100)[:5_000]
+        edges = np.stack([cross // 100, 100 + cross % 100], axis=1)
+        g = Graph.from_edges(200, edges, np.zeros((200, 1)), labels)
+        got = inject_heterophilous_edges(g, 4_200, 3)
+        npt.assert_array_equal(got.edges, _scalar_inject(g, 4_200, 3).edges)
+        assert 100 * 100 - got.n_edges < 1_000      # under 10% of the cross pairs absent
+
     @staticmethod
     def _budget_messages(g, k, seed):
         messages = []
