@@ -14,20 +14,20 @@ at least 1 and n_features at least 0; n_classes is the highest label + 1, or 0
 without a label column.
 
 One reader (`_read_table`) and one writer (`_write_table`) serve every table.
-A table is checked in order: the header's fields (the dense header follows
-n_features), each line's field count (`expected W columns, got K`, also for
-the header), tokens, then row checks that each test a whole column and name
-its first offending line. With several faults the first in check order is
-reported, which need not be the lowest line.
+A table is checked in order: the header (its field count, then its names; the
+dense header follows n_features), then each line in turn (its field count,
+`expected W columns, got K`, then its tokens), then row checks that each test
+a whole column and name its first offending line. With several faults the
+first in check order is reported, which need not be the lowest line.
 
 Every table but meta.tsv is all numeric. A well-formed one is parsed by one C
 pass (`np.loadtxt`) per column group, straight into its arrays, once a tab
 count of the whole file shows W fields per line in all. The pass runs only on
 ASCII text without \x1f, where its tokens are those of `int` and `float`
 under numpy 2.4.6 (the floor in pyproject.toml): numpy 1.23-1.26 still read an
-integer through a float, with only a DeprecationWarning. The token reader (tokens parsed in blocks of rows, so a wide file never has all
-its tokens alive at once) runs only where the pass fails or cannot be trusted,
-and it names the first fault in the check order above.
+integer through a float, with only a DeprecationWarning. Where the pass fails
+or cannot be trusted, the lines are read one at a time, which names the first
+malformed line.
 
 Saving writes canonical order, so for every directory that loads, a further
 load/save round trip is byte-stable.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import typing
 import warnings
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +84,6 @@ def save_dataset(g: Graph, path) -> None:
                  ([i, *row.tolist()] for i, row in enumerate(g.features)))
 
 
-_BLOCK_CELLS = 1 << 16      # cells tokenized and parsed at a time
-
-
 def _first_line(path: Path) -> list[str]:
     """The header fields of the TSV table at `path`."""
     if not path.is_file():
@@ -98,12 +95,14 @@ def _first_line(path: Path) -> list[str]:
     return first[0].split("\t")
 
 
-def _read_table(path: Path, header: list[str], dtypes) -> list[np.ndarray]:
-    """The TSV table at `path`, whose header must be `header`, parsed into one
-    (rows, k) array per `(dtype, k)` in `dtypes`, each for k adjacent columns."""
-    got, width = _first_line(path), len(header)
+def _read_table(path: Path, header: typing.Iterable[str], dtypes) -> list[np.ndarray]:
+    """The TSV table at `path`, whose header must be the names `header` (read
+    only once the first line has the table's width), parsed into one (rows, k)
+    array per `(dtype, k)` in `dtypes`, each for k adjacent columns."""
+    got, width = _first_line(path), sum(k for _, k in dtypes)
     if len(got) != width:
         raise DatasetError(f"{path}:1: expected {width} columns, got {len(got)}")
+    header = list(header)
     if got != header:
         raise DatasetError(f"{path}:1: expected header {header}, got {got}")
     text = path.read_text()
@@ -121,23 +120,23 @@ def _read_table(path: Path, header: list[str], dtypes) -> list[np.ndarray]:
         tables = _c_parse(body, dtypes, bounds)
         if tables is not None:
             return tables
-    # per line, so that a long line and a short line cannot cancel out
-    tabs = np.fromiter(map(str.count, body, repeat("\t")), dtype=np.int64, count=len(body))
-    _check(tabs != width - 1, path,
-           lambda i: f"expected {width} columns, got {tabs[i] + 1}")
     tables = [np.empty((len(body), k), dtype) for dtype, k in dtypes]
-    step = max(1, _BLOCK_CELLS // width)
-    for start in range(0, len(body), step):
-        block = body[start:start + step]
-        cells = np.array("\t".join(block).split("\t"), dtype=object).reshape(len(block), width)
+    for i, line in enumerate(body):
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise DatasetError(f"{path}:{i + 2}: expected {width} columns, got {len(cells)}")
         for table, lo, hi in zip(tables, bounds, bounds[1:]):
-            table[start:start + len(block)] = _parse(cells[:, lo:hi], table.dtype, path, start)
+            try:
+                table[i] = cells[lo:hi]
+            except (ValueError, OverflowError):
+                raise DatasetError(
+                    f"{path}:{i + 2}: {_token_fault(cells[lo:hi], table.dtype)}") from None
     return tables
 
 
 def _c_parse(body: list[str], dtypes, bounds) -> list[np.ndarray] | None:
     """Each column group of the lines `body` read by `np.loadtxt`, or None where
-    it raises or skips a line (a blank one): the token path then names the fault."""
+    it raises or skips a line (a blank one): the line loop then names the fault."""
     try:
         with warnings.catch_warnings():
             # a body of blank lines only warns; its row count falls back below
@@ -157,19 +156,14 @@ def _check(bad: np.ndarray, path: Path, message) -> None:
         raise DatasetError(f"{path}:{rows[0] + 2}: {message(rows[0])}")
 
 
-def _parse(cells: np.ndarray, dtype, path: Path, start: int) -> np.ndarray:
-    """Token `cells` (row i on line start + i + 2) as `dtype`; the first bad token is named."""
-    try:
-        return cells.astype(dtype)
-    except (ValueError, OverflowError):
-        for (i, *_), token in np.ndenumerate(cells):
-            try:
-                np.array(token, dtype=dtype)
-            except (ValueError, OverflowError):
-                what = (f"expected an integer, got {token!r}"
-                        if np.issubdtype(dtype, np.integer) else "malformed float")
-                raise DatasetError(f"{path}:{start + i + 2}: {what}") from None
-        raise
+def _token_fault(tokens: list[str], dtype) -> str:
+    """What is wrong with the first of `tokens` that `dtype` cannot hold."""
+    for token in tokens:
+        try:
+            np.array(token, dtype=dtype)
+        except (ValueError, OverflowError):
+            return (f"expected an integer, got {token!r}"
+                    if np.issubdtype(dtype, np.integer) else "malformed float")
 
 
 def _first_repeat(keys):
@@ -236,7 +230,7 @@ def load_dataset(path) -> Graph:
     if dense_path.is_file() and sparse_path.is_file():
         raise DatasetError(f"{path}: both features.tsv and features.sparse.tsv present")
     if dense_path.is_file():
-        ids, x = _read_table(dense_path, ["node_id", *(f"f{c}" for c in range(d))],
+        ids, x = _read_table(dense_path, chain(["node_id"], (f"f{c}" for c in range(d))),
                              [(np.int64, 1), (np.float64, d)])
         if len(ids) != n:
             raise DatasetError(f"{dense_path}: {len(ids)} rows, meta says {n}")
@@ -249,12 +243,16 @@ def load_dataset(path) -> Graph:
         _check((rows < 0) | (rows >= n) | (cols < 0) | (cols >= d), sparse_path,
                lambda i: "index out of range")
         _check(~np.isfinite(values), sparse_path, lambda i: "non-finite feature value")
-        keys = np.sort(rows * d + cols)
+        try:
+            x = np.zeros((n, d))
+        except (MemoryError, ValueError):   # ValueError: n * d * 8 bytes overflows
+            raise DatasetError(f"{meta_path}: n_nodes {n} x n_features {d} is too large "
+                               "for a dense feature matrix") from None
+        keys = np.sort(rows * d + cols)     # below n * d, which fits in int64 once x does
         if np.any(keys[1:] == keys[:-1]):
             ln, first = _first_repeat(zip(rows.tolist(), cols.tolist()))
             raise DatasetError(f"{sparse_path}:{ln}: duplicate entry for node {rows[ln - 2]}, "
                                f"feature {cols[ln - 2]} (first on line {first})")
-        x = np.zeros((n, d))
         x[rows, cols] = values
     else:
         raise DatasetError(f"{path}: missing features.tsv (or features.sparse.tsv)")

@@ -52,6 +52,20 @@ class TestDispatch:
         assert cli_dispatch(["homophily", "--data", str(tmp_path / "missing")]) == 2
         assert "error" in capsys.readouterr().err
 
+    # 5 x 300e9 doubles fail to allocate; 5 x 2**62 doubles overflow the size,
+    # and so does the sparse key 4 * 2**62 + 0, which then equals node 0's
+    @pytest.mark.parametrize("n_features", [300_000_000_000, 2**62])
+    def test_unallocatable_dense_features_exit_2(self, tmp_path, capsys, n_features):
+        for name, text in (
+                ("meta.tsv", f"key\tvalue\nn_nodes\t5\nn_classes\t2\nn_features\t{n_features}\n"),
+                ("nodes.tsv", "node_id\tlabel\n0\t0\n1\t1\n2\t0\n3\t1\n4\t0\n"),
+                ("edges.tsv", "src\tdst\n0\t1\n"),
+                ("features.sparse.tsv", "node_id\tfeature_index\tvalue\n0\t0\t1.0\n4\t0\t1.0\n")):
+            (tmp_path / name).write_text(text)
+        assert cli_dispatch(["homophily", "--data", str(tmp_path)]) == 2
+        assert (f"meta.tsv: n_nodes 5 x n_features {n_features} is too large"
+                in capsys.readouterr().err)
+
     # the two mixing weights are model constants: a config that sets one fails
     # in every command that reads a config
     @pytest.mark.parametrize("key", ["prop_weight", "common_mix"])

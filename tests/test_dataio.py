@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -217,22 +218,48 @@ class TestLoadValidation:
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse", "unlabeled"])
-    def test_well_formed_tables_skip_the_token_parser(self, tmp_path, monkeypatch, fmt):
-        # meta.tsv has a string column, so only it is parsed token by token
+    def test_well_formed_tables_take_the_c_pass(self, tmp_path, monkeypatch, fmt):
+        # meta.tsv has a string column, so it alone is read by the line loop
         if fmt == "unlabeled":
             ds = tmp_path / fmt
             save_dataset(knn_feature_graph(random_graph(2).features, 3), ds)
         else:
             ds = _dataset(tmp_path, fmt)
-        parse = dataio._parse
+        c_parse, results = dataio._c_parse, []
 
-        def meta_only(cells, dtype, path, start):
-            if path.name != "meta.tsv":
-                raise AssertionError(f"{path.name} reached the token parser")
-            return parse(cells, dtype, path, start)
+        def spy(*args):
+            results.append(c_parse(*args))
+            return results[-1]
 
-        monkeypatch.setattr(dataio, "_parse", meta_only)
+        monkeypatch.setattr(dataio, "_c_parse", spy)
         load_dataset(ds)
+        assert len(results) == 3      # nodes, edges and features
+        assert all(tables is not None for tables in results)
+
+    def test_first_malformed_line_is_named(self, tmp_path):
+        # a bad token on line 3 comes before the short line 5
+        ds = self.make_valid(tmp_path)
+        _write_lines(ds / "edges.tsv", ["src\tdst", "0\t1", "0\tx", "2\t3", "1", "3\t4"])
+        with pytest.raises(DatasetError) as err:
+            load_dataset(ds)
+        assert str(err.value) == f"{ds / 'edges.tsv'}:3: expected an integer, got 'x'"
+
+    def test_width_mismatch_fails_before_the_header_is_built(self, tmp_path):
+        # the names f0 .. f2999999 would take hundreds of MB
+        ds = self.make_valid(tmp_path)
+        meta = (ds / "meta.tsv").read_text()
+        (ds / "meta.tsv").write_text(meta.replace("n_features\t4", "n_features\t3000000"))
+        lines = (ds / "features.tsv").read_text().splitlines()
+        _write_lines(ds / "features.tsv", [line.rsplit("\t", 3)[0] for line in lines])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetError,
+                               match=re.escape("features.tsv:1: expected 3000001 columns, got 2")):
+                load_dataset(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("line, dtypes", [
         ("2.7\t1", [(np.int64, 2)]),                      # edges.tsv
@@ -559,11 +586,6 @@ def _messages(tmp_path, fmt, name, edit):
 
 class TestLoaderMatchesReference:
     """`load_dataset` against the per-line loader it replaced."""
-
-    @pytest.fixture(autouse=True, params=["one block", "one row per block"])
-    def block(self, request, monkeypatch):
-        if request.param == "one row per block":
-            monkeypatch.setattr(dataio, "_BLOCK_CELLS", 1)
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     def test_valid_datasets_load_identically(self, tmp_path, fmt):
