@@ -12,11 +12,14 @@ later ``backward`` on the same tape is an error. All values are 2-D float64
 arrays; scalars are (1, 1). A tape is single-owner: one step builds and
 consumes (or discards) one tape.
 
-Gradients live in per-node gradient slots and are allocated lazily. A slot's
-first gradient becomes its buffer and later ones are added into it in place,
-so a VJP returns one fresh array per input, never g itself or an array it
-also returns for another input. Reading ``grad`` on a node that received no
-gradient gives zeros of its shape, allocated for that read only.
+Gradients live in per-node gradient slots, which hold nothing but the
+gradient and are filled lazily. A slot's first gradient becomes its buffer and
+later ones are added into it in place, so a VJP returns one fresh array per
+input, never g itself or an array it also returns for another input.
+``backward`` skips an entry whose output got no gradient, so an unused
+operation runs no VJP and cannot turn a live gradient into NaN (0 * inf).
+Reading ``grad`` on a node that received no gradient gives zeros of its
+value's shape, allocated for that read only.
 
 A VJP binds only the smallest arrays its formula can be computed from, never
 a node, tape or slot. So a node's value is freed as soon as the forward code
@@ -72,18 +75,10 @@ class _GradSlot:
     """A node's gradient buffer: all the tape holds of a node it sends
     gradient to or reads the output gradient of."""
 
-    __slots__ = ("shape", "dtype", "_grad")
+    __slots__ = ("grad",)
 
-    def __init__(self, shape: tuple, dtype: np.dtype):
-        self.shape = shape
-        self.dtype = dtype
-        self._grad = None
-
-    @property
-    def grad(self) -> np.ndarray:
-        """Accumulated gradient; zeros of the value's shape and dtype (not
-        stored) before any contribution."""
-        return np.zeros(self.shape, self.dtype) if self._grad is None else self._grad
+    def __init__(self):
+        self.grad = None
 
 
 class TensorNode:
@@ -94,16 +89,18 @@ class TensorNode:
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
         self.tape = tape
-        self._slot = _GradSlot(value.shape, value.dtype)
+        self._slot = _GradSlot()
 
     @property
     def shape(self):
-        return self._slot.shape
+        return self.value.shape
 
     @property
     def grad(self) -> np.ndarray:
-        """Accumulated gradient; zeros (not stored) before any contribution."""
-        return self._slot.grad
+        """Accumulated gradient; zeros of the value's shape (not stored)
+        before any contribution."""
+        g = self._slot.grad
+        return np.zeros(self.value.shape, self.value.dtype) if g is None else g
 
     def item(self) -> float:
         if self.value.shape != (1, 1):
@@ -155,7 +152,8 @@ def _op(value, vjp, *inputs) -> TensorNode:
 def backward(tape: Tape, loss: TensorNode) -> None:
     """Populate grads of every node reachable from `loss` (a scalar node).
 
-    Each entry is dropped as it runs, so the tape ends empty.
+    Each entry is dropped as it runs, so the tape ends empty. An entry whose
+    output received no gradient adds nothing and its VJP is not run.
     """
     if loss.tape is not tape:
         raise TapeError("loss node does not belong to this tape")
@@ -164,15 +162,17 @@ def backward(tape: Tape, loss: TensorNode) -> None:
     if tape._used:
         raise TapeError(_CONSUMED)
     tape._used = True
-    loss._slot._grad = np.ones((1, 1))
+    loss._slot.grad = np.ones((1, 1))
     entries = tape._entries
     while entries:
         vjp, slots, out = entries.pop()
+        if out.grad is None:
+            continue
         for slot, g in zip(slots, vjp(out.grad)):
-            if slot._grad is None:
-                slot._grad = g
+            if slot.grad is None:
+                slot.grad = g
             else:
-                slot._grad += g
+                slot.grad += g
         del slot, g   # the last gradient added must not outlive its entry
 
 
@@ -272,34 +272,22 @@ def _normal(x: np.ndarray) -> np.ndarray:
     return (x >= _TINY) & (x <= _HUGE)
 
 
-_BLOCK_ENTRIES = 1 << 20  # entries per row block of `unit_rows`
-
-
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x over its row norms, the norms as an (n, 1) column), in x's dtype and layout.
 
-    One row-blocked pass with no N x d temporary: each block's squares go into
-    its rows of the result, their `np.add.reduce` is `np.linalg.norm`'s bits,
-    and x / norm overwrites them. A finite row whose sum of squares is not a
-    positive normal float64 is divided by its peak |entry| first and gets norm
+    Whole-array passes with no N x d temporary: the squares go into the
+    result, their `np.add.reduce` is `np.linalg.norm`'s bits, and x / norm
+    overwrites them. A finite row whose sum of squares is not a positive
+    normal float64 is divided by its peak |entry| first and gets norm
     peak * ||x / peak|| (inf if that overflows). A zero row gets norm 0 and a
     row with a non-finite entry a non-finite norm, for the caller to reject.
     """
-    n, d = x.shape
     rows = np.empty_like(x)
-    ss = np.empty((n, 1), x.dtype)
-    norms = np.empty((n, 1), x.dtype)
-    block = max(2, _BLOCK_ENTRIES // max(d, 1))
-    # no one-row block unless n = 1: numpy sums a lone strided row (of an
-    # F-ordered x) in another order than the same row of a larger block
-    starts = range(0, max(n - 1, 1), block)
     with np.errstate(all="ignore"):
-        for r0, r1 in zip(starts, [*starts[1:], n]):
-            xb, sq = x[r0:r1], rows[r0:r1]
-            np.multiply(xb, xb, out=sq)
-            np.add.reduce(sq, axis=1, keepdims=True, out=ss[r0:r1])
-            np.sqrt(ss[r0:r1], out=norms[r0:r1])
-            np.divide(xb, norms[r0:r1], out=sq)
+        np.multiply(x, x, out=rows)
+        ss = np.add.reduce(rows, axis=1, keepdims=True)
+        norms = np.sqrt(ss)
+        np.divide(x, norms, out=rows)
         odd = np.flatnonzero(~_normal(ss[:, 0]))
         peaks = np.abs(x[odd]).max(axis=1, keepdims=True, initial=0.0)
         fix = np.isfinite(peaks[:, 0]) & (peaks[:, 0] > 0.0)

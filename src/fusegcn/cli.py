@@ -196,7 +196,7 @@ def _cmd_sweep(args) -> int:
     rows = heterophily_sweep(g, g_f, plan, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w") as f:
+    with open(out / "sweep.csv", "w", encoding="utf-8") as f:
         f.write("heterophily,accuracy,macro_f1\n")
         for level, acc, f1 in rows:
             f.write(f"{level:.6f},{acc:.6f},{f1:.6f}\n")

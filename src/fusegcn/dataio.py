@@ -31,6 +31,8 @@ malformed line.
 
 Saving writes canonical order, so for every directory that loads, a further
 load/save round trip is byte-stable.
+Tables, config files and run outputs are UTF-8 text; a file that is not
+UTF-8 is a DatasetError naming it and the line of its first bad byte.
 Config files are flat `key = value` lines with `#` comments; unknown keys
 are an error. The keys are the fields of `TrainConfig` and one
 `<name>_weight` per field of `LossWeights`.
@@ -38,9 +40,12 @@ are an error. The keys are the fields of `TrainConfig` and one
 
 from __future__ import annotations
 
+import io
 import json
 import typing
 import warnings
+import zipfile
+import zlib
 from itertools import chain
 from pathlib import Path
 
@@ -62,7 +67,7 @@ class DatasetError(Exception):
 
 def _write_table(path: Path, header: list[str], rows) -> None:
     """Write the TSV `header`, then one line per row, each value as `str` (`repr` for a float)."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\t".join(header) + "\n")
         for row in rows:
             f.write("\t".join(map(str, row)) + "\n")
@@ -84,12 +89,22 @@ def save_dataset(g: Graph, path) -> None:
                  ([i, *row.tolist()] for i, row in enumerate(g.features)))
 
 
+def _decode(path: Path, data: bytes) -> str:
+    """`data`, read from the start of the file at `path`, as UTF-8 text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise DatasetError(f"{path}:{line}: not UTF-8 text "
+                           f"({e.reason}, byte {data[e.start]:#04x})") from None
+
+
 def _first_line(path: Path) -> list[str]:
     """The header fields of the TSV table at `path`."""
     if not path.is_file():
         raise DatasetError(f"missing required file {path}")
-    with open(path) as f:
-        first = f.readline().splitlines()
+    with open(path, "rb") as f:
+        first = _decode(path, f.readline()).splitlines()
     if not first:
         raise DatasetError(f"{path}: empty file")
     return first[0].split("\t")
@@ -105,7 +120,7 @@ def _read_table(path: Path, header: typing.Iterable[str], dtypes) -> list[np.nda
     header = list(header)
     if got != header:
         raise DatasetError(f"{path}:1: expected header {header}, got {got}")
-    text = path.read_text()
+    text = _decode(path, path.read_bytes())
     # numpy's C reader takes some non-ASCII letters as digits and strips \x1f
     # as whitespace, where int() and float() reject both
     plain = text.isascii() and "\x1f" not in text
@@ -279,7 +294,8 @@ def parse_config(path) -> dict:
     if not path.is_file():
         raise DatasetError(f"config file {path} does not exist")
     out = {}
-    with open(path) as f:
+    # newline=None splits lines as a file opened in text mode does
+    with io.StringIO(_decode(path, path.read_bytes()), newline=None) as f:
         for ln, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -322,7 +338,7 @@ TRACE_HEADER = ("epoch,loss_total,loss_cl,loss_c,loss_d,"
 
 def emit_trace(trace: RunTrace, path) -> None:
     """Per-epoch CSV with 6-decimal fixed formatting."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(TRACE_HEADER + "\n")
         for r in trace.records:
             vals = (r.loss_total, r.loss_cl, r.loss_c, r.loss_d,
@@ -337,7 +353,7 @@ def emit_metrics(trace: RunTrace, path) -> None:
         "best_epoch": trace.best_epoch,
         "epochs_run": len(trace.records),
     }
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -350,15 +366,24 @@ def save_params(params: dict[str, np.ndarray], path) -> None:
 def load_params(path, n_features: int, n_classes: int) -> dict[str, np.ndarray]:
     """Load the three-channel model's arrays saved by `save_params`.
 
-    Raises DatasetError when the names differ from the model's, such as for
-    the parameters of a GCN baseline, or when a shape differs from that of
-    the model for `n_features` and `n_classes` at the file's hidden width.
+    Raises DatasetError when the file is not a readable `.npz` archive, when
+    the names differ from the model's, such as for the parameters of a GCN
+    baseline, or when a shape differs from that of the model for `n_features`
+    and `n_classes` at the file's hidden width.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"params file {path} does not exist")
-    with np.load(path, allow_pickle=False) as data:
-        params = {k: data[k] for k in data.files}
+    try:
+        # np.load leaves a file it opened unclosed when the archive is corrupt
+        with open(path, "rb") as f:
+            data = np.load(f, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            with data:
+                params = {k: data[k] for k in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as e:
+        raise DatasetError(f"params file {path} is not a readable .npz archive ({e})") from None
     w1, out_w = params.get("input_w1"), params.get("out_w")
     # a width that is not a valid size shows below as a mismatch of input_w1
     hidden = w1.shape[1] if w1 is not None and w1.ndim == 2 and w1.shape[1] > 0 else 1

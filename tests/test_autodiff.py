@@ -370,6 +370,19 @@ class TestBackwardMechanics:
         out = ad.relu(a)
         assert np.all(a.grad == 0.0) and np.all(out.grad == 0.0)
 
+    def test_unused_output_sends_no_gradient(self):
+        # the unused product's VJP would send 0 * inf = NaN into a's slot
+        def grad_of_a(unused):
+            t = Tape()
+            a = t.tensor([[1.0, -2.0], [0.5, 3.0]])
+            if unused:
+                ad.hadamard(a, t.tensor(np.full((2, 2), np.inf)))
+            backward(t, sum_sq(ad.relu(a)))
+            return a.grad
+        want = grad_of_a(False)
+        assert np.isfinite(want).all()
+        npt.assert_array_equal(grad_of_a(True), want)
+
     def test_repeated_backward_errors(self):
         t = Tape()
         a = t.tensor(np.ones((2, 2)))
@@ -404,7 +417,7 @@ class TestBackwardMechanics:
         t.discard()
         with pytest.raises(TapeError, match="build a new tape"):
             backward(t, loss)
-        assert a._slot._grad is None
+        assert a._slot.grad is None
 
     @pytest.mark.parametrize("end", ["backward", "discard"])
     def test_recording_on_a_consumed_tape_errors(self, end):

@@ -8,9 +8,10 @@ import pytest
 
 from fusegcn import cli, heterophily
 from fusegcn.cli import cli_dispatch
-from fusegcn.dataio import load_dataset, save_dataset
+from fusegcn.dataio import load_dataset, save_dataset, save_params
 from fusegcn.graphs import homophily_ratio
 from fusegcn.heterophily import InjectionBudgetError, SynthSpec, generate_synthetic
+from fusegcn.model import init_params
 from fusegcn.training import model_gradient_check
 from tests.test_autodiff import tapes_left_by
 from tests.test_graphs import make_graph
@@ -222,6 +223,21 @@ class TestTrainCommand:
         assert cli_dispatch(["train", "--data", str(synth_ds), "--config", str(cfg),
                              "--out", str(tmp_path / "run")]) == 2
         assert "unknown config key 'attention_variant'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["truncated", "empty", "npy", "garbage"])
+    def test_eval_unreadable_params_exits_2(self, synth_ds, tmp_path, capsys, fault):
+        real = tmp_path / "real.npz"
+        save_params(init_params(8, 2, 8, np.random.default_rng(0)), real)
+        params = tmp_path / "params.npz"
+        if fault == "npy":
+            with open(params, "wb") as f:
+                np.save(f, np.zeros((8, 8)))
+        else:
+            params.write_bytes({"truncated": real.read_bytes()[:300], "empty": b"",
+                                "garbage": b"garbage"}[fault])
+        assert cli_dispatch(["eval", "--data", str(synth_ds), "--params", str(params),
+                             "--config", str(tiny_config(tmp_path))]) == 2
+        assert f"params file {params} is not a readable .npz archive" in capsys.readouterr().err
 
     def test_eval_params_of_other_feature_count_exits_2(self, tmp_path, capsys):
         data = {}

@@ -101,6 +101,14 @@ class TestLoadValidation:
         with pytest.raises(DatasetError, match="edges.tsv:2"):
             load_dataset(ds)
 
+    def test_non_utf8_table_names_file_and_line(self, tmp_path):
+        ds = self.make_valid(tmp_path)
+        lines = (ds / "nodes.tsv").read_bytes().split(b"\n")
+        lines[1] = b"0\t\xff"
+        (ds / "nodes.tsv").write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetError, match=re.escape(f"{ds / 'nodes.tsv'}:2: not UTF-8 text")):
+            load_dataset(ds)
+
     def test_node_id_gap(self, tmp_path):
         ds = self.make_valid(tmp_path)
         lines = (ds / "nodes.tsv").read_text().splitlines()
@@ -685,6 +693,12 @@ class TestConfig:
         if text is not None:
             cfg_file.write_text(text)
         with pytest.raises(DatasetError, match=message):
+            parse_config(cfg_file)
+
+    def test_non_utf8_config_names_file_and_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"epochs = 5\n# caf\xe9\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{cfg_file}:2: not UTF-8 text")):
             parse_config(cfg_file)
 
     def test_bad_value_type(self, tmp_path):

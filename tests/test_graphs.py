@@ -433,40 +433,57 @@ def test_knn_memory_peak(d, bound):
 
 class TestUnitRows:
     """`autodiff.unit_rows`, the row normalization of the kNN graph and of
-    `l2_normalize_rows`: ordinary rows get `np.linalg.norm`'s bits whatever
-    the block size, and rows whose squares leave float64's normal range are
+    `l2_normalize_rows`: ordinary rows get `np.linalg.norm`'s bits in every
+    layout, and rows whose squares leave float64's normal range are
     normalized through their largest entry."""
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("rows", [1, 3, 64])
-    @pytest.mark.parametrize("d", [1, 8, 9, 129, 3703])
-    def test_norms_and_rows_bit_equal(self, monkeypatch, d, rows, order):
-        rng = np.random.default_rng(d)
-        x = rng.standard_normal((70, d))
-        x[5] *= 1e200     # squares overflow
-        x[6] *= 1e-200    # squares underflow
-        x[7] = np.copysign(1.2e154, x[7])   # squares overflow only when summed (d > 1)
-        x[8] *= 1e-160    # sum of squares subnormal: nonzero, but short of precision
-        x = np.asarray(x, order=order)
-        monkeypatch.setattr(ad, "_BLOCK_ENTRIES", rows * d)
-        xn, norms = ad.unit_rows(x)
+    @staticmethod
+    def _expected(x):
+        """`np.linalg.norm`'s norms and rows of x, and for rows whose sum of
+        squares is not a positive normal float64, peak * ||x / peak|| and
+        (x / peak) / ||x / peak||; also the mask of ordinary rows."""
         with np.errstate(over="ignore", under="ignore"):
             ordinary = ad._normal((x * x).sum(axis=1))
             want = np.linalg.norm(x, axis=1, keepdims=True)
-        assert not ordinary[[5, 6, 8]].any() and ordinary[7] == (d == 1)
         want_rows = x / np.where(ordinary[:, None], want, 1.0)
-        # a rescued row: its norm is peak * ||x / peak||, its row (x / peak) / ||x / peak||
         odd = np.flatnonzero(~ordinary)
         peaks = np.abs(x[odd]).max(axis=1, keepdims=True)
         scaled = x[odd] / peaks
         r = np.linalg.norm(scaled, axis=1, keepdims=True)
         want[odd] = peaks * r
         want_rows[odd] = scaled / r
-        assert_same_array(norms, want)
-        assert np.isfinite(norms).all() and (norms > 0).all()
-        assert xn.flags.c_contiguous == x.flags.c_contiguous
-        assert xn.flags.f_contiguous == x.flags.f_contiguous
-        assert_same_array(xn, want_rows)
+        return want, want_rows, ordinary
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("d", [1, 8, 9, 129, 3703])
+    def test_norms_and_rows_bit_equal(self, d, rows, order):
+        """The whole array, then each run of `rows` rows called on its own
+        (a lone strided row is summed in another order than the same row
+        of a larger array, so each call is held to its own input)."""
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((70, 2 * d if order == "strided" else d))
+        x[5] *= 1e200     # squares overflow
+        x[6] *= 1e-200    # squares underflow
+        x[7] = np.copysign(1.2e154, x[7])   # squares overflow only when summed (d > 1)
+        x[8] *= 1e-160    # sum of squares subnormal: nonzero, but short of precision
+        x = x[:, ::2] if order == "strided" else np.asarray(x, order=order)
+        _, _, ordinary = self._expected(x)
+        assert not ordinary[[5, 6, 8]].any() and ordinary[7] == (d == 1)
+        for r0 in [None, *range(0, len(x), rows)]:
+            xb = x if r0 is None else x[r0:r0 + rows]
+            xn, norms = ad.unit_rows(xb)
+            want, want_rows, _ = self._expected(xb)
+            assert_same_array(norms, want)
+            assert np.isfinite(norms).all() and (norms > 0).all()
+            if order == "C":
+                assert xn.flags.c_contiguous
+            elif order == "F":
+                assert xn.flags.f_contiguous
+            if r0 is None and order != "strided":
+                assert xn.flags.c_contiguous == x.flags.c_contiguous
+                assert xn.flags.f_contiguous == x.flags.f_contiguous
+            assert_same_array(xn, want_rows)
 
     def test_zero_and_non_finite_rows_reported_through_norms(self):
         x = np.array([[3.0, 4.0], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [-0.0, 0.0]])
