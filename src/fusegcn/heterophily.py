@@ -7,7 +7,10 @@ A seed's edge set is defined by that per-draw process on numpy's PCG64
 stream: `integers(n)`, `random()`, `integers(size)` per draw. The code draws
 in numpy batches that replay the same raw words (two per draw), and steps
 back to scalar calls at the rare draws a batch cannot replay, so each seed
-gives the edge set the per-draw loop gives.
+gives the edge set the per-draw loop gives. A batch is sized from the share
+of cross-label pairs still absent: 1.25 times the draws expected to find the
+missing edges, plus 64. It finds its new pairs with one sort of its drawn
+keys together with the taken keys in their range.
 The sweep retrains the model from scratch on progressively more
 heterophilous copies of one base graph, keeping features (and hence the
 kNN feature graph) untouched.
@@ -16,6 +19,7 @@ kNN feature graph) untouched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,18 +104,27 @@ def target_label_cdf(class_sizes: np.ndarray) -> np.ndarray:
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
+# 32-bit halves of a native uint64 viewed as two uint32s: (low, high) positions
+_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
-def bounded_integers(words: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+def _lemire_threshold(n) -> np.ndarray:
+    """(2**32 - n) % n: a bounded draw rejects a word whose product's low half is below it."""
+    n = np.asarray(n, dtype=np.uint64)
+    return (np.uint64(2**32) - n) % n
+
+
+def bounded_integers(words: np.ndarray, n, threshold) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's method on 32-bit `words`, as numpy's scalar `integers(n)` uses it.
 
-    Returns the values in [0, n) and a mask of the words the scalar call would
-    reject (it then draws again, so the stream moves on differently).
+    `threshold` is `_lemire_threshold(n)`. Returns the values in [0, n) and a
+    mask of the words the scalar call would reject (it then draws again, so
+    the stream moves on differently).
     """
-    n = np.asarray(n, dtype=np.uint64)
-    m = words.astype(np.uint64) * n
-    threshold = (np.uint64(2**32) - n) % n
-    return (m >> np.uint64(32)).astype(np.int64), (m & _LOW32) < threshold
+    m = np.multiply(words, np.asarray(n, dtype=np.uint64), dtype=np.uint64)
+    rejected = (m & _LOW32) < threshold
+    m >>= np.uint64(32)
+    return m.view(np.int64), rejected
 
 
 def unit_doubles(words: np.ndarray) -> np.ndarray:
@@ -119,7 +132,17 @@ def unit_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _replay(raw, spare, n, labels, cum, sizes):
+def _target_labels(cdf: np.ndarray, source_label: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw, `np.searchsorted(cdf[source_label], u, side="right")`: the
+    count of the row's columns at or below u, one gathered column at a time.
+    The cdf's last column is left out; it is 1.0, above every u."""
+    y = np.zeros(u.size, dtype=np.intp)
+    for column in cdf[:, :-1].T:
+        y += column[source_label] <= u
+    return y
+
+
+def _replay(raw, spare, n, labels, cdf, sizes, thresholds):
     """Draws that the raw words `raw` (two per draw) hold for the scalar loop.
 
     The loop's calls are integers(n), random(), integers(size). PCG64 serves
@@ -127,24 +150,25 @@ def _replay(raw, spare, n, labels, cum, sizes):
     spare, so with no spare (`spare` None) draw t reads i from lo(r[2t]), u
     from r[2t+1] and the member index from hi(r[2t]). With a spare, draw 0
     reads i from it and draw t reads u from r[2t], the member index from
-    lo(r[2t+1]) and hands hi(r[2t+1]) on as the next draw's i.
+    lo(r[2t+1]) and hands hi(r[2t+1]) on as the next draw's i. `sizes` and
+    `thresholds` hold each class's size and its `_lemire_threshold`.
 
     Returns (i, target label, member index, nb): the draws before `nb` are
     exact; draw `nb`, if less than the batch, breaks the replay because a
     bounded draw would be rejected or its target class has one member
     (`integers(1)` consumes nothing, which flips the spare).
     """
-    even, odd = raw[0::2], raw[1::2]
+    halves = raw.view(np.uint32).reshape(-1, 4)     # r[2t] low, high; r[2t+1] low, high
     if spare is None:
-        i_words, u_words, j_words = even & _LOW32, odd, even >> np.uint64(32)
+        i_words, u_words, j_words = halves[:, _LO], raw[1::2], halves[:, _HI]
     else:
-        i_words = np.concatenate([[np.uint64(spare)], odd[:-1] >> np.uint64(32)])
-        u_words, j_words = even, odd & _LOW32
-    i, i_bad = bounded_integers(i_words, n)
-    u = unit_doubles(u_words)
-    y = np.count_nonzero(cum[labels[i]] <= u[:, None], axis=1)
+        i_words = np.empty(halves.shape[0], dtype=np.uint32)
+        i_words[0], i_words[1:] = spare, halves[:-1, 2 + _HI]
+        u_words, j_words = raw[0::2], halves[:, 2 + _LO]
+    i, i_bad = bounded_integers(i_words, n, _lemire_threshold(n))
+    y = _target_labels(cdf, labels[i], unit_doubles(u_words))
     size = sizes[y]
-    j, j_bad = bounded_integers(j_words, size)
+    j, j_bad = bounded_integers(j_words, size, thresholds[y])
     breaks = np.flatnonzero(i_bad | j_bad | (size == 1))
     nb = int(breaks[0]) if breaks.size else i.size
     return i, y, j, nb
@@ -164,20 +188,50 @@ def _accept(taken: np.ndarray, keys: np.ndarray, limit: int) -> tuple[np.ndarray
     """Insert the first `limit` distinct `keys` (in draw order) absent from `taken`.
 
     `taken` is sorted and ends in a sentinel above every key; returns it with
-    the accepted keys inserted, and their count. A distinct key's first draw
-    is the least draw index in its run of the sorted keys, so the sort need
-    not be stable.
+    the accepted keys inserted, and their count. One sort takes the drawn
+    keys, packed as `key << s | draw index + 1` (s the bit length of the
+    batch size), and the taken keys within their range, packed as
+    `key << s`. Each key's entries then form a run, taken first and then in
+    draw order, so a run's first entry tells whether the key is new and, if
+    so, its first draw. The caller keeps the packed values within int64.
     """
     if keys.size == 0:
         return taken, 0
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
-    uniq = sorted_keys[starts]
-    first = np.minimum.reduceat(order, starts)
-    fresh = taken[np.searchsorted(taken, uniq)] != uniq
-    new = np.sort(keys[np.sort(first[fresh])[:limit]])
-    return np.insert(taken, np.searchsorted(taken, new), new), new.size
+    s = keys.size.bit_length()
+    lo, hi = np.searchsorted(taken, keys.min()), np.searchsorted(taken, keys.max(), side="right")
+    packed = np.empty(hi - lo + keys.size, dtype=np.int64)
+    np.left_shift(taken[lo:hi], s, out=packed[:hi - lo])
+    drawn = packed[hi - lo:]
+    np.left_shift(keys, s, out=drawn)
+    drawn |= np.arange(1, keys.size + 1)
+    packed.sort()
+    sorted_keys = packed >> s
+    starts = np.empty(packed.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    runs = packed[np.flatnonzero(starts)]
+    first = runs & ((1 << s) - 1)       # a new key's first draw + 1; 0 for a taken key
+    n_new = int(np.count_nonzero(first))
+    if n_new > limit:
+        # keep the new keys drawn before the (limit + 1)-th new key's first draw
+        drawn_first = np.zeros(keys.size + 1, dtype=bool)
+        drawn_first[first] = True
+        runs = runs[np.flatnonzero(first <= np.flatnonzero(drawn_first[1:])[limit])]
+        n_new = limit
+    out = np.empty(taken.size - (hi - lo) + runs.size, dtype=taken.dtype)
+    out[:lo] = taken[:lo]
+    np.right_shift(runs, s, out=out[lo:lo + runs.size])
+    out[lo + runs.size:] = taken[hi:]
+    return out, n_new
+
+
+def _batch_size(missing: int, absent: int, cross_total: int) -> int:
+    """Draws for the next batch: 1.25 times the draws expected to find `missing`
+    edges when `absent` of the `cross_total` cross-label pairs are free, plus 64.
+
+    Any size gives the same edges; this one makes few batches and few spare draws.
+    """
+    return -(-5 * missing * cross_total // (4 * absent)) + 64
 
 
 def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
@@ -203,10 +257,14 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
             f"cannot add {k} cross-label edges: only {cross_total - existing_cross} absent pairs")
 
     cum = target_label_cdf(sizes)
+    thresholds = _lemire_threshold(np.maximum(sizes, 1))    # an empty class is never drawn
     by_label = np.argsort(labels, kind="stable")      # class members, ascending
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     # keys i*n + j of present and accepted pairs, sorted, with a sentinel
     taken = np.append(g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1], n * n)
+    # the largest batch whose packed `key << s | draw index` in _accept fits
+    # int64, s being the batch size's bit length
+    max_batch = (1 << (63 - int(n * n).bit_length())) - 1
     rng = np.random.default_rng(seed)
     bg = rng.bit_generator
     added = 0
@@ -217,11 +275,12 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
             raise InjectionBudgetError(
                 f"edge injection exceeded its sampling budget of {max_draws} draws "
                 f"after adding {added} of {k} cross-label edges")
-        b = min(2 * (k - added) + 64, budget)
+        absent = cross_total - existing_cross - added
+        b = min(_batch_size(k - added, absent, cross_total), budget, max_batch)
         saved = bg.state
         spare = saved["uinteger"] if saved["has_uint32"] else None
         raw = bg.random_raw(2 * b)
-        i, y, j, nb = _replay(raw, spare, n, labels, cum, sizes)
+        i, y, j, nb = _replay(raw, spare, n, labels, cum, sizes, thresholds)
         j = by_label[starts[y[:nb]] + j[:nb]]
         i = i[:nb]
         taken, n_new = _accept(taken, np.minimum(i, j) * n + np.maximum(i, j), k - added)
@@ -244,8 +303,9 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
         taken, n_new = _accept(taken, np.array([min(i, j) * n + max(i, j)]), 1)
         added += n_new
 
-    keys = taken[:-1]
-    return Graph(n, np.stack([keys // n, keys % n], axis=1), g.features, g.labels)
+    edges = np.empty((taken.size - 1, 2), dtype=np.int64)
+    np.divmod(taken[:-1], n, out=(edges[:, 0], edges[:, 1]))
+    return Graph(n, edges, g.features, g.labels)
 
 
 def heterophily_sweep(g: Graph, g_features: Graph, plan: SweepPlan, cfg: TrainConfig):

@@ -271,7 +271,7 @@ class TestStreamReplay:
     def test_bounded_integers_flag_every_rejection(self, n):
         raw = np.random.default_rng(3).bit_generator.random_raw(100)
         words = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()
-        values, rejected = heterophily.bounded_integers(words, n)
+        values, rejected = heterophily.bounded_integers(words, n, heterophily._lemire_threshold(n))
         assert 20 < np.count_nonzero(rejected) < 180
         first = int(np.argmax(rejected))
         scalar = np.random.default_rng(3)
@@ -363,6 +363,84 @@ class TestInjectionMatchesScalarLoop:
         batched, scalar = self._budget_messages(g, 5, 1)
         assert batched == scalar
         assert "after adding 0 of" not in batched
+
+
+def _injection_case(name):
+    """(graph, k, seed) of the scalar-loop fixtures whose batches break or overrun."""
+    if name == "near saturation":
+        labels = np.repeat([0, 1], 100)
+        cross = np.random.default_rng(5).permutation(100 * 100)[:5_000]
+        edges = np.stack([cross // 100, 100 + cross % 100], axis=1)
+        return Graph.from_edges(200, edges, np.zeros((200, 1)), labels), 4_200, 3
+    if name == "one-member classes":
+        return generate_synthetic(SynthSpec(60, 4, class_sizes=(1, 1, 28, 30), p_intra=0.1,
+                                            p_inter=0.01, seed=200)), 200, 201
+    if name == "five-block":
+        g = generate_synthetic(SynthSpec(1000, 5, p_intra=0.005, p_inter=0.0125,
+                                         n_features=5, seed=2))
+        return g, required_edges(g, 0.95), 9
+    if name == "one pair left":
+        labels = np.repeat([0, 1], 200)
+        left, right = np.meshgrid(np.arange(200), np.arange(200, 400), indexing="ij")
+        edges = np.stack([left.ravel(), right.ravel()], axis=1)[1:]
+        return Graph(400, edges, np.zeros((400, 1)), labels), 1, 0
+    assert name == "five pairs left"
+    labels = np.repeat([0, 1], 100)
+    left, right = np.meshgrid(np.arange(100), np.arange(100, 200), indexing="ij")
+    edges = np.stack([left.ravel(), right.ravel()], axis=1)
+    edges = np.delete(edges, [7, 1234, 4321, 6000, 9999], axis=0)
+    return Graph(200, edges, np.zeros((200, 1)), labels), 5, 1
+
+
+class TestBatchSizeKeepsEdges:
+    """Batches only cut the per-draw loop's draws into chunks, so the edge set
+    and the budget error do not depend on `_batch_size`."""
+
+    @pytest.fixture(params=["one draw", "whole budget"])
+    def batches(self, request, monkeypatch):
+        """Sizes of the raw-word batches replayed; the injection caps a size at the budget."""
+        size = 1 if request.param == "one draw" else 2**62
+        monkeypatch.setattr(heterophily, "_batch_size", lambda missing, absent, cross_total: size)
+        replay, sizes = heterophily._replay, []
+        monkeypatch.setattr(heterophily, "_replay",
+                            lambda raw, *args: sizes.append(raw.size // 2) or replay(raw, *args))
+        return request.param, sizes
+
+    @staticmethod
+    def _check_sizes(batches, max_draws):
+        kind, sizes = batches
+        if kind == "one draw":
+            assert set(sizes) == {1}
+        else:
+            assert sizes[0] == max_draws
+
+    @pytest.mark.parametrize("case", ["near saturation", "one-member classes", "five-block"])
+    def test_same_edges_as_scalar_loop(self, batches, case):
+        g, k, seed = _injection_case(case)
+        npt.assert_array_equal(inject_heterophilous_edges(g, k, seed).edges,
+                               _scalar_inject(g, k, seed).edges)
+        self._check_sizes(batches, 200 * k + 10_000)
+
+    @pytest.mark.parametrize("case", ["one pair left", "five pairs left"])
+    def test_budget_overrun_same_error(self, batches, case):
+        g, k, seed = _injection_case(case)
+        batched, scalar = TestInjectionMatchesScalarLoop._budget_messages(g, k, seed)
+        assert batched == scalar
+        self._check_sizes(batches, 200 * k + 10_000)
+
+
+class TestTargetLabels:
+    """The batched target label is `np.searchsorted(cum[c], u, side="right")`."""
+
+    def test_at_and_next_to_every_cdf_value(self):
+        sizes = np.array([5, 0, 1, 7, 3])       # an empty and a one-member class
+        cum = target_label_cdf(sizes)
+        for c in range(sizes.size):
+            u = np.concatenate([cum[c], np.nextafter(cum[c], 0.0), np.nextafter(cum[c], 1.0),
+                                [0.0, 1.0 - 2.0**-53]])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            got = heterophily._target_labels(cum, np.full(u.size, c), u)
+            npt.assert_array_equal(got, np.searchsorted(cum[c], u, side="right"), err_msg=f"class {c}")
 
 
 def _stable_accept(taken, keys, limit):
