@@ -5,12 +5,12 @@ product (VJP), the gradient slots of its input nodes and the slot of its
 output. Every operator computes its value and ends in ``_op``, the one place
 that records. ``backward`` pops the entries in exact reverse order, calls each
 VJP on its output's gradient g and adds the i-th array it returns into the
-i-th input's slot; a forward-only pass ends with ``Tape.discard``, which drops
-the entries unrun. Either way the tape then holds no node, so reference
-counting frees a step's arrays as soon as the caller drops its nodes, and a
-later ``backward`` on the same tape is an error. All values are 2-D float64
-arrays; scalars are (1, 1). A tape is single-owner: one step builds and
-consumes (or discards) one tape.
+i-th input's slot. No entry holds a node, so no reference cycle runs through
+a tape: reference counting frees a step's arrays as soon as the caller drops
+its nodes, whether or not ``backward`` ran, and a forward-only pass needs no
+call to end it. Recording onto a tape, or running ``backward`` on it, after
+``backward`` is an error. All values are 2-D float64 arrays; scalars are
+(1, 1). A tape is single-owner: one step builds and consumes one tape.
 
 Gradients live in per-node gradient slots, which hold nothing but the
 gradient and are filled lazily. A slot's first gradient becomes its buffer and
@@ -68,7 +68,7 @@ class TapeError(RuntimeError):
     pass
 
 
-_CONSUMED = "this tape was already consumed or discarded; build a new tape"
+_CONSUMED = "this tape was already consumed; build a new tape"
 
 
 class _GradSlot:
@@ -109,7 +109,8 @@ class TensorNode:
 
 
 class Tape:
-    """Ordered record of operations; replayed in reverse by backward()."""
+    """Ordered record of operations; replayed in reverse by backward(), which
+    consumes it."""
 
     def __init__(self):
         self._entries = []   # (vjp, input slots, output slot) per operation
@@ -122,19 +123,13 @@ class Tape:
             raise ValueError(f"tape values must be 2-D, got shape {v.shape}")
         return TensorNode(v, self)
 
-    def discard(self) -> None:
-        """End a forward-only pass: drop the entries unrun, so the tape holds
-        no node and a later `backward` raises TapeError."""
-        self._used = True
-        self._entries.clear()
-
 
 def _op(value, vjp, *inputs) -> TensorNode:
     """Record one operation on the inputs' tape and return its output node.
 
     `value` becomes the output's value; `vjp(g)` maps the output gradient g
     to one fresh array per input, binding arrays only (see the module
-    docstring). Recording onto a consumed or discarded tape is a TapeError.
+    docstring). Recording onto a consumed tape is a TapeError.
     """
     tape = inputs[0].tape
     if tape._used:

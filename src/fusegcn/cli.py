@@ -149,7 +149,6 @@ def _cmd_eval(args) -> int:
     g_f = knn_feature_graph(g.features, cfg.knn_k)
     split = make_split(g, cfg)
     value = full_objective(g, g_f, cfg, split.train)(params)
-    value.loss.tape.discard()
     out = {}
     for name, nodes in (("train", split.train), ("val", split.val), ("test", split.test),
                         ("all", np.arange(g.n_nodes))):

@@ -236,7 +236,7 @@ def load_dataset(path) -> Graph:
     _check((a < 0) | (a >= n) | (b < 0) | (b >= n), edges_path,
            lambda i: f"edge ({a[i]}, {b[i]}) out of range")
     _check(a == b, edges_path, lambda i: f"self-loop at node {a[i]}")
-    edges = canonical_edges(raw, n) if raw.shape[0] else raw
+    edges = canonical_edges(raw, n)
     if edges.shape[0] < raw.shape[0]:
         warnings.warn(f"{edges_path}: {raw.shape[0] - edges.shape[0]} duplicate edges dropped")
 

@@ -209,13 +209,12 @@ def knn_feature_graph(x: np.ndarray, k: int) -> Graph:
         kth = np.partition(s, n - k, axis=1)[:, [n - k]]
         keep = s >= kth
         tied_rows = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-        if tied_rows.size:
-            st, kt = s[tied_rows], kth[tied_rows]
-            above = st > kt
-            tied = st == kt
-            room = k - np.count_nonzero(above, axis=1)
-            keep[tied_rows] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
-                                               <= room[:, None]))
+        st, kt = s[tied_rows], kth[tied_rows]
+        above = st > kt
+        tied = st == kt
+        room = k - np.count_nonzero(above, axis=1)
+        keep[tied_rows] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
+                                           <= room[:, None]))
         nbrs[r0:r0 + block] = (np.flatnonzero(keep) % n).reshape(-1, k)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     edges = canonical_edges(np.stack([src, nbrs.ravel()], axis=1), n)

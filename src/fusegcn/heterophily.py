@@ -5,10 +5,11 @@ node, a target label drawn proportionally to class size from the remaining
 classes, a uniform node within that label; duplicate draws are re-sampled.
 A seed's edge set is defined by that per-draw process on numpy's PCG64
 stream: `integers(n)`, `random()`, `integers(size)` per draw. The code draws
-in numpy batches that replay the same raw words (two per draw), and steps
-back to scalar calls at the rare draws a batch cannot replay, so each seed
-gives the edge set the per-draw loop gives. A batch is sized from the share
-of cross-label pairs still absent: 1.25 times the draws expected to find the
+in numpy batches that replay the same raw words (two per draw). A batch ends
+at the first draw it cannot replay, a rare one; that draw is made with the
+loop's three scalar calls and joins the batch as its last, so each seed gives
+the edge set the per-draw loop gives. A batch is sized from the share of
+cross-label pairs still absent: 1.25 times the draws expected to find the
 missing edges, plus 64. It finds its new pairs with one sort of its drawn
 keys together with the taken keys in their range.
 The sweep retrains the model from scratch on progressively more
@@ -237,8 +238,9 @@ def _batch_size(missing: int, absent: int, cross_total: int) -> int:
 def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
     """Add exactly `k` new distinct cross-label edges; input is unmodified.
 
-    Draws in numpy batches that replay the per-draw loop's PCG64 stream, so
-    the edge set is the loop's (see the module docstring).
+    Draws in numpy batches that replay the per-draw loop's PCG64 stream, each
+    ending in the scalar draw that breaks its replay, if any, so the edge set
+    is the loop's (see the module docstring).
     """
     if g.labels is None:
         raise ValueError("injection requires labels")
@@ -263,7 +265,8 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
     # keys i*n + j of present and accepted pairs, sorted, with a sentinel
     taken = np.append(g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1], n * n)
     # the largest batch whose packed `key << s | draw index` in _accept fits
-    # int64, s being the batch size's bit length
+    # int64, s being the batch size's bit length; a batch's replayed draws
+    # plus its break draw number at most its size
     max_batch = (1 << (63 - int(n * n).bit_length())) - 1
     rng = np.random.default_rng(seed)
     bg = rng.bit_generator
@@ -281,26 +284,19 @@ def inject_heterophilous_edges(g: Graph, k: int, seed: int) -> Graph:
         spare = saved["uinteger"] if saved["has_uint32"] else None
         raw = bg.random_raw(2 * b)
         i, y, j, nb = _replay(raw, spare, n, labels, cum, sizes, thresholds)
-        j = by_label[starts[y[:nb]] + j[:nb]]
-        i = i[:nb]
-        taken, n_new = _accept(taken, np.minimum(i, j) * n + np.maximum(i, j), k - added)
-        added += n_new
-        budget -= nb
-        if added == k:
-            break
         # step the stream to draw nb; with a spare, draw nb - 1 left hi(r[2nb-1])
         if spare is not None and nb > 0:
             spare = raw[2 * nb - 1] >> np.uint64(32)
         _resume(bg, saved, 2 * nb, spare)
-        if nb == b:
-            continue
-        # draw nb breaks the replay: make it with the loop's scalar calls
-        budget -= 1
-        i = int(rng.integers(n))
-        y_j = int(np.searchsorted(cum[labels[i]], rng.random(), side="right"))
-        members = by_label[starts[y_j]:starts[y_j] + sizes[y_j]]
-        j = int(members[rng.integers(members.size)])
-        taken, n_new = _accept(taken, np.array([min(i, j) * n + max(i, j)]), 1)
+        if nb < b:
+            # draw nb breaks the replay: make it with the loop's scalar calls
+            i[nb] = rng.integers(n)
+            y[nb] = _target_labels(cum, labels[i[nb:nb + 1]], np.array([rng.random()]))[0]
+            j[nb] = rng.integers(sizes[y[nb]])
+            nb += 1
+        budget -= nb
+        i, j = i[:nb], by_label[starts[y[:nb]] + j[:nb]]
+        taken, n_new = _accept(taken, np.minimum(i, j) * n + np.maximum(i, j), k - added)
         added += n_new
 
     edges = np.empty((taken.size - 1, 2), dtype=np.int64)

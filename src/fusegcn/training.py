@@ -106,7 +106,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     """Adaptive-moment update with bias correction and decoupled weight decay.
 
     Weight decay skips the names listed in `bias_names`. Updates params and
-    state in place and returns them.
+    state in place.
     """
     for name, p in params.items():
         g = grads[name]
@@ -118,7 +118,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if weight_decay and name not in bias_names:
             p -= lr * weight_decay * p
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
 
     Updates `params` in place after every epoch but the last, whether the
     loop ends at `cfg.epochs` or by patience: that epoch's update could not be
-    kept, so it is forward-only and its tape is discarded unrun. Weight decay
+    kept, so it is forward-only and runs no backward. Weight decay
     skips the biases (`model.is_bias`). Returns (the arrays of the best
     validation epoch, RunTrace); the trace's final scores are that epoch's
     test accuracy and macro-F1, as scored in the loop.
@@ -282,7 +281,6 @@ def fit(objective, params: dict[str, np.ndarray], labels: np.ndarray, split: Spl
             best_f1 = test_f1
             best_params = {k: v.copy() for k, v in params.items()}
         if epoch == cfg.epochs or epoch - best_epoch >= cfg.patience:
-            out.loss.tape.discard()
             break
 
         backward(out.loss.tape, out.loss)
@@ -350,7 +348,8 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
     All three loss weights are 1, so every term is checked at full weight;
     sizes and split come from the small check instance, whose biases are
     drawn small and nonzero. One backward pass gives the gradients; every
-    perturbed evaluation is forward-only. Raises ValueError unless n, d and
+    perturbed evaluation is forward-only, and its tape is freed with its
+    nodes when the evaluation returns. Raises ValueError unless n, d and
     c are at least 1.
     """
     for name, size in (("n", n), ("d", d), ("c", c)):
@@ -377,9 +376,7 @@ def model_gradient_check(n: int = 12, d: int = 5, c: int = 3, hidden: int = 8,
     grads = [out.leaves[nm].grad for nm in names]
 
     def loss_fn(arrays):
-        out = objective(dict(zip(names, arrays)))
-        out.loss.tape.discard()
-        return out.loss.item()
+        return objective(dict(zip(names, arrays))).loss.item()
 
     return finite_diff_check(loss_fn, [params[nm] for nm in names], grads, eps, tolerance,
                              param_names=names)

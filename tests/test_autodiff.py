@@ -65,8 +65,8 @@ def check_op_gradient(build_loss, values, rel_tol=1e-4):
 def tapes_left_by(run):
     """Call `run()` with the cycle collector off; return the Tapes alive after it.
 
-    Reference counting alone must free every tape a pass builds, whether the
-    pass ends in `backward` or in `Tape.discard`.
+    Reference counting alone must free every tape a pass builds, whether or
+    not the pass ends in `backward`.
     """
     gc.collect()
     was_enabled = gc.isenabled()
@@ -410,34 +410,21 @@ class TestBackwardMechanics:
                 gc.enable()
         npt.assert_allclose(grads[1], np.full((2, 2), 6.0))
 
-    def test_backward_after_discard_errors(self):
-        t = Tape()
-        a = t.tensor(np.ones((2, 2)))
-        loss = sum_sq(ad.relu(a))
-        t.discard()
-        with pytest.raises(TapeError, match="build a new tape"):
-            backward(t, loss)
-        assert a._slot.grad is None
-
-    @pytest.mark.parametrize("end", ["backward", "discard"])
-    def test_recording_on_a_consumed_tape_errors(self, end):
-        # the entry would never run: no backward follows either end
+    def test_recording_on_a_consumed_tape_errors(self):
+        # the entry would never run: no second backward follows
         t = Tape()
         a = t.tensor(np.ones((2, 2)))
         w = t.tensor(np.full((2, 2), 0.5))
-        loss = sum_sq(ad.matmul(a, w))
-        if end == "backward":
-            backward(t, loss)
-        else:
-            t.discard()
+        backward(t, sum_sq(ad.matmul(a, w)))
         for record in (lambda: ad.matmul(a, w), lambda: ad.relu(a)):
             with pytest.raises(TapeError, match="build a new tape"):
                 record()
         assert t._entries == []
 
-    def test_discard_frees_the_tape(self):
-        # a forward-only pass: its entries are dropped unrun, and reference
-        # counting alone must free the tape once the caller drops its nodes
+    def test_forward_only_pass_frees_the_tape(self):
+        # no backward and no call to end the pass: its entries hold no node,
+        # so reference counting alone must free the tape once the caller
+        # drops its nodes
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -445,7 +432,6 @@ class TestBackwardMechanics:
             a = t.tensor(np.ones((3, 2)))
             w = t.tensor(np.full((2, 2), 0.5))
             loss = sum_sq(ad.relu(ad.matmul(a, w)))
-            t.discard()
             tape_ref = weakref.ref(t)
             del t, a, w, loss
             assert tape_ref() is None
@@ -475,7 +461,6 @@ class TestBackwardMechanics:
         def loss_fn(arrays):
             tape = Tape()
             loss, _, _ = build(tape, *(tape.tensor(v) for v in arrays))
-            tape.discard()
             return loss.item()
 
         values = [a_val, b_val, d_val, bias_val, w_val]
@@ -1048,7 +1033,6 @@ class TestFiniteDiffCheck:
         def loss_fn(params):
             t = Tape()
             loss, _ = loss_of(t, params)
-            t.discard()
             return loss.item()
 
         params = [np.random.default_rng(6).standard_normal((3, 3))]

@@ -74,6 +74,7 @@ class TestRoundTrip:
         assert (tmp_path / "e" / "edges.tsv").read_text() == "src\tdst\n"
         g2 = load_dataset(tmp_path / "e")
         assert g2.n_edges == 0
+        assert g2.edges.shape == (0, 2) and g2.edges.dtype == np.int64
 
     def test_no_feature_columns_round_trip(self, tmp_path):
         save_dataset(Graph.from_edges(3, [(0, 2)], np.zeros((3, 0)), [0, 1, 0]), tmp_path / "d0")

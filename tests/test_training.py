@@ -264,6 +264,10 @@ class TestTrain:
         run = (lambda: train_baseline(g, cfg)) if baseline else (lambda: train(g, g_f, cfg))
         assert tapes_left_by(run) == []
 
+    def test_no_tape_outlives_the_gradient_check(self):
+        # every perturbed evaluation is a forward-only pass
+        assert tapes_left_by(lambda: model_gradient_check(8, 3, 2, 4, 1)) == []
+
     def test_trace_epochs_monotone(self):
         g, g_f = small_dataset(seed=10)
         _, trace = train(g, g_f, small_cfg(epochs=5))
