@@ -35,8 +35,8 @@ is what backward needs:
 - ``l2_normalize_rows`` binds its output and the row norms,
   ``gram_distance_sq`` its h x h products and its two operand values (its
   VJP rebuilds their difference and sum), ``mean_row_cosine`` both operands,
-  the norms and the cosines, and ``softmax_cross_entropy`` the exponentials,
-  their row sums, the labels and the mask.
+  the norms and the cosines, and ``softmax_cross_entropy`` its node ids,
+  their class ids and the exponentials and row sums of their rows.
 
 Rebuilding an array repeats the forward pass's floating-point operations, so
 a gradient's bits do not depend on what its VJP binds.
@@ -378,26 +378,35 @@ def mean_row_cosine(a: TensorNode, b: TensorNode) -> TensorNode:
     return _op([[cos.sum() / n]], vjp, a, b)
 
 
-def softmax_cross_entropy(logits: TensorNode, y_onehot: np.ndarray,
-                          mask: np.ndarray) -> TensorNode:
-    """-sum_{v in mask} sum_c Y_vc log softmax(logits)_vc, with one-hot rows Y.
+def softmax_cross_entropy(logits: TensorNode, labels: np.ndarray,
+                          nodes: np.ndarray) -> TensorNode:
+    """-sum_{v in nodes} log softmax(logits)_{v, labels[v]}, each node id counted once.
 
     The log-softmax is the logits minus the row max minus its log-sum-exp, so a
-    confidently wrong row keeps its loss and its gradient g * (softmax - Y).
+    confidently wrong row keeps its loss and its gradient g * (softmax - Y);
+    rows outside `nodes` get gradient 0. `labels` holds a class id per row.
     """
-    y = np.asarray(y_onehot, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ValueError(f"one-hot labels shape {y.shape} does not match logits {logits.shape}")
-    mask = np.asarray(mask, dtype=np.int64).ravel()
-    if mask.size == 0:
-        raise ValueError("cross-entropy mask is empty")
-    in_mask = np.zeros((logits.shape[0], 1))
-    in_mask[mask] = 1.0
-    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    labels = np.asarray(labels)
+    if labels.shape != logits.shape[:1]:
+        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    if nodes.size == 0:
+        raise ValueError("cross-entropy node set is empty")
+    y = labels[nodes]
+    z = logits.value[nodes]
+    shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     row_sums = e.sum(axis=1, keepdims=True)
-    loss = -np.sum(in_mask * y * (shifted - np.log(row_sums)))
-    return _op([[loss]], lambda g: (g[0, 0] * in_mask * (e / row_sums - y),), logits)
+    loss = -np.sum(shifted[np.arange(nodes.size), y] - np.log(row_sums[:, 0]))
+    shape = logits.shape
+
+    def vjp(g):
+        grad = np.zeros(shape, e.dtype)
+        grad[nodes] = e / row_sums
+        grad[nodes, y] -= 1.0
+        return (g[0, 0] * grad,)
+
+    return _op([[loss]], vjp, logits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: train, eval, homophily, knn-graph, inject, sweep, synth,
-gradcheck. Exit codes: 0 success, 1 usage error, 2 data error.
+Subcommands: train, eval, homophily, knn-graph, inject, sweep, synth, gradcheck.
+Exit codes: 0 success, 1 usage error or failed gradcheck, 2 data error or out of memory.
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def cli_dispatch(argv) -> int:
         return 1
     except (DatasetError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

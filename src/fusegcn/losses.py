@@ -52,8 +52,8 @@ def disparity_loss(z_t, z_ct, z_f, z_cf):
     return ad.add_scaled(m_t, m_f, -1.0, -1.0)
 
 
-def classification_loss(logits, y_onehot: np.ndarray, train_mask: np.ndarray):
-    return ad.softmax_cross_entropy(logits, y_onehot, train_mask)
+def classification_loss(logits, labels: np.ndarray, train_nodes: np.ndarray):
+    return ad.softmax_cross_entropy(logits, labels, train_nodes)
 
 
 def total_loss(l_cl, l_c, l_d, weights: LossWeights):

@@ -112,10 +112,12 @@ def softmax_rows(a):
     return ad._op(s, lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),), a)
 
 
-def masked_cross_entropy(pred, y_onehot, mask):
-    """-sum_{v in mask} sum_c Y_vc ln pred_vc on probabilities clamped to
-    [PROB_FLOOR, 1]: a row whose true-class probability falls below the floor
-    gets a capped loss and a zero gradient."""
+def masked_cross_entropy(pred, labels, mask):
+    """-sum_{v in mask} sum_c Y_vc ln pred_vc, with Y the one-hot rows of the
+    class ids `labels`, on probabilities clamped to [PROB_FLOOR, 1]: a row
+    whose true-class probability falls below the floor gets a capped loss and
+    a zero gradient."""
+    y_onehot = np.eye(pred.shape[1])[labels]
     in_mask = np.zeros((pred.shape[0], 1))
     in_mask[mask] = 1.0
     pv = pred.value
@@ -136,17 +138,17 @@ def weighted_sum(node, w):
     return ad._op([[np.sum(w * node.value)]], lambda g: (g[0, 0] * w,), node)
 
 
-def cross_entropy_of(build, logits, y, mask):
-    """(loss, logits gradient) of `build(logits_node, y, mask)` on a fresh tape."""
+def cross_entropy_of(build, logits, labels, nodes):
+    """(loss, logits gradient) of `build(logits_node, labels, nodes)` on a fresh tape."""
     t = Tape()
     x = t.tensor(logits)
-    loss = build(x, y, mask)
+    loss = build(x, np.asarray(labels), nodes)
     backward(t, loss)
     return loss.item(), x.grad
 
 
-def two_op_cross_entropy(x, y, mask):
-    return masked_cross_entropy(softmax_rows(x), y, mask)
+def two_op_cross_entropy(x, labels, mask):
+    return masked_cross_entropy(softmax_rows(x), labels, mask)
 
 
 class TestForwardValues:
@@ -259,14 +261,12 @@ class TestForwardValues:
                           t.tensor(np.ones((3, 1))))
 
     def test_softmax_uniform_and_shift(self):
-        y = np.eye(4)[[2]]
-        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((1, 4)), y, [0])
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((1, 4)), [2], [0])
         assert loss == pytest.approx(np.log(4), rel=1e-15)
-        npt.assert_allclose(grad, np.full((1, 4), 0.25) - y, atol=1e-15)
+        npt.assert_allclose(grad, np.full((1, 4), 0.25) - np.eye(4)[[2]], atol=1e-15)
         row = np.array([[0.3, -1.2, 2.0]])
-        y = np.eye(3)[[1]]
-        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, row, y, [0])
-        loss_s, grad_s = cross_entropy_of(ad.softmax_cross_entropy, row + 5.0, y, [0])
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, row, [1], [0])
+        loss_s, grad_s = cross_entropy_of(ad.softmax_cross_entropy, row + 5.0, [1], [0])
         assert loss_s == pytest.approx(loss, rel=1e-14)
         npt.assert_allclose(grad_s, grad, atol=1e-14)
 
@@ -274,10 +274,9 @@ class TestForwardValues:
         # logits log(1), log(2), log(3): softmax 1/6, 2/6, 3/6
         row = np.log([[1.0, 2.0, 3.0]])
         for k in range(3):
-            y = np.eye(3)[[k]]
-            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, row, y, [0])
+            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, row, [k], [0])
             assert loss == pytest.approx(-np.log((k + 1) / 6), rel=1e-14)
-            npt.assert_allclose(grad + y, [[1 / 6, 2 / 6, 3 / 6]], rtol=1e-14)
+            npt.assert_allclose(grad + np.eye(3)[[k]], [[1 / 6, 2 / 6, 3 / 6]], rtol=1e-14)
 
     def test_l2_normalize(self):
         t = Tape()
@@ -310,37 +309,51 @@ class TestForwardValues:
 class TestSoftmaxCrossEntropy:
     def test_perfect_prediction_near_zero(self):
         # log(1 + 2 e^-40) per row
-        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, 40.0 * np.eye(3), np.eye(3),
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, 40.0 * np.eye(3), [0, 1, 2],
                                       [0, 1, 2])
         assert loss == pytest.approx(0.0, abs=1e-16)
         npt.assert_allclose(grad, 0.0, atol=1e-16)
 
     def test_uniform_single_node(self):
         c = 5
-        y = np.eye(c)[[0, 1, 2]]
-        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((3, c)), y, [1])
+        loss, grad = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((3, c)), [0, 1, 2],
+                                      [1])
         assert loss == pytest.approx(np.log(c))
         npt.assert_array_equal(grad[[0, 2]], 0.0)
 
     def test_two_nodes_uniform_c4(self):
-        loss, _ = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((4, 4)), np.eye(4),
+        loss, _ = cross_entropy_of(ad.softmax_cross_entropy, np.zeros((4, 4)), [0, 1, 2, 3],
                                    [0, 2])
         assert loss == pytest.approx(2 * np.log(4))
 
     def test_preconditions(self):
         t = Tape()
-        with pytest.raises(ValueError, match="does not match logits"):
-            ad.softmax_cross_entropy(t.tensor(np.zeros((2, 3))), np.eye(3), np.array([0]))
+        for n_labels in (3, 5):
+            with pytest.raises(ValueError, match=rf"labels shape \({n_labels},\) does not "
+                                                 r"match logits \(4, 2\)"):
+                ad.softmax_cross_entropy(t.tensor(np.zeros((4, 2))),
+                                         np.zeros(n_labels, dtype=int), np.array([0]))
         with pytest.raises(ValueError, match="empty"):
-            ad.softmax_cross_entropy(t.tensor(np.zeros((2, 2))), np.eye(2),
+            ad.softmax_cross_entropy(t.tensor(np.zeros((2, 2))), np.array([0, 1]),
                                      np.array([], dtype=int))
+
+    def test_a_repeated_node_counts_once(self):
+        for seed in range(5):
+            rng = np.random.default_rng(700 + seed)
+            logits = 3.0 * rng.standard_normal((6, 3))
+            labels = rng.integers(3, size=6)
+            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, labels, [4, 1, 3])
+            loss_r, grad_r = cross_entropy_of(ad.softmax_cross_entropy, logits, labels,
+                                              [1, 4, 1, 3, 4, 4])
+            assert loss_r == loss
+            npt.assert_array_equal(grad_r, grad)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_two_op_form(self, seed):
         rng = np.random.default_rng(300 + seed)
         n, c = int(rng.integers(1, 30)), int(rng.integers(2, 8))
         logits = 3.0 * rng.standard_normal((n, c))
-        y = np.eye(c)[rng.integers(c, size=n)]
+        y = rng.integers(c, size=n)
         mask = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, y, mask)
         loss_ref, grad_ref = cross_entropy_of(two_op_cross_entropy, logits, y, mask)
@@ -352,7 +365,7 @@ class TestSoftmaxCrossEntropy:
         # below the two-op form's 1e-12 floor, which caps that row's loss at
         # -log(1e-12) and zeroes its gradient; row 1 is ordinary. Totals:
         # 40.31 fused, 27.94 for the two-op form.
-        logits, y = np.array([[40.0, 0.0], [1.0, 0.0]]), np.eye(2)[[1, 0]]
+        logits, y = np.array([[40.0, 0.0], [1.0, 0.0]]), [1, 0]
         row1 = np.log1p(np.exp(-1.0))
         loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, y, [0, 1])
         assert loss == pytest.approx(40.0 + row1, rel=1e-15)
@@ -669,9 +682,9 @@ def rectangular_csr(n):
 
 
 def cyclic_labels(logits):
-    """One-hot labels v mod C and a mask of every other row, for the loss cases."""
+    """Class ids v mod C and every other row's node id, for the loss cases."""
     n, c = logits.shape
-    return np.eye(c)[np.arange(n) % c], np.arange(0, n, 2)
+    return np.arange(n) % c, np.arange(0, n, 2)
 
 
 TAPE_OPERATORS = {"matmul", "spmm", "relu", "sigmoid", "add_scaled", "scale", "add_row_bias",
@@ -970,10 +983,12 @@ class TestExtremeRows:
 
     def test_softmax_cross_entropy(self):
         logits = self.extreme_inputs(17, (6, 4))
-        y = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+        labels = [0, 1, 2, 3, 0, 1]
+        y = np.eye(4)[labels]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, y, np.arange(6))
+            loss, grad = cross_entropy_of(ad.softmax_cross_entropy, logits, labels,
+                                          np.arange(6))
         ref = -np.sum(y * (logits - logsumexp(logits, axis=1, keepdims=True)))
         assert np.isfinite(loss) and loss == pytest.approx(ref, rel=1e-12)
         assert np.isfinite(grad).all()
@@ -985,10 +1000,10 @@ class TestOutputInvariants:
         # a masked row's gradient is softmax - Y; unmasked rows get none
         rng = np.random.default_rng(2)
         for _ in range(20):
-            y = np.eye(6)[rng.integers(6, size=5)]
+            labels = rng.integers(6, size=5)
             _, grad = cross_entropy_of(ad.softmax_cross_entropy,
-                                       rng.standard_normal((5, 6)) * 3, y, [0, 1, 3])
-            out = (grad + y)[[0, 1, 3]]
+                                       rng.standard_normal((5, 6)) * 3, labels, [0, 1, 3])
+            out = (grad + np.eye(6)[labels])[[0, 1, 3]]
             npt.assert_allclose(out.sum(axis=1), np.ones(3), atol=1e-12)
             assert np.all(out > 0) and np.all(out < 1)
             npt.assert_array_equal(grad[[2, 4]], 0.0)
@@ -1023,12 +1038,11 @@ class TestFiniteDiffCheck:
         assert report.max_rel_error < 1e-8
 
     def test_softmax_cross_entropy_case(self):
-        y = np.eye(3)
-        mask = np.array([0, 1, 2])
+        labels = np.array([0, 1, 2])
 
         def loss_of(t, params):
             logits = t.tensor(params[0])
-            return ad.softmax_cross_entropy(logits, y, mask), logits
+            return ad.softmax_cross_entropy(logits, labels, np.arange(3)), logits
 
         def loss_fn(params):
             t = Tape()

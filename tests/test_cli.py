@@ -370,6 +370,21 @@ class TestGraphCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_synth_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError subclass when it cannot allocate an array
+        message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                   "and data type float64")
+
+        def refuse(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        out = tmp_path / "x"
+        assert cli_dispatch(["synth", "--nodes", "100000", "--classes", "2",
+                             "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not out.exists()
+
     def test_synth_class_sizes_not_integers_exits_1(self, tmp_path, capsys):
         assert cli_dispatch(["synth", "--nodes", "6", "--classes", "2", "--class-sizes", "3,x",
                              "--out", str(tmp_path / "x")]) == 1
@@ -474,6 +489,12 @@ class TestGradcheckCommand:
         # one default seed: criterion 1 and the README quote `fusegcn gradcheck`
         assert cli_dispatch(["gradcheck"]) == 0
         assert capsys.readouterr().out == f"{model_gradient_check()}\n"
+
+    def test_failed_check_exits_1(self, capsys):
+        rc = cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",
+                           "--hidden", "5", "--seed", "3", "--tolerance", "0"])
+        assert rc == 1
+        assert capsys.readouterr().out.rstrip().endswith("-> FAIL")
 
     def test_negative_seed_exits_2(self, capsys):
         assert cli_dispatch(["gradcheck", "--nodes", "8", "--dim", "4", "--classes", "2",

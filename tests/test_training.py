@@ -151,7 +151,50 @@ class TestAdamStep:
         npt.assert_array_equal(run(), run())
 
 
+def per_class_loop_scores(logits, labels, node_set):
+    """(accuracy, macro-F1) from one pass per class over the classes that are
+    true or predicted in `node_set`: the loop `evaluate` replaces."""
+    pred = np.argmax(logits[node_set], axis=1)
+    true = labels[node_set]
+    f1s = []
+    for c in np.union1d(np.unique(true), np.unique(pred)):
+        tp = np.count_nonzero((pred == c) & (true == c))
+        fp = np.count_nonzero((pred == c) & (true != c))
+        fn = np.count_nonzero((pred != c) & (true == c))
+        denom = 2 * tp + fp + fn
+        f1s.append(2 * tp / denom if denom else 0.0)
+    return float(np.mean(pred == true)), float(np.mean(f1s))
+
+
+def random_scoring_case(rng):
+    """Logits, labels and a node set in which some classes are never predicted
+    (their columns sit far below the rest), some are never true (they are
+    missing from the label pool), and labels can lie beyond the logits' width."""
+    width, n = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+    logits = rng.standard_normal((n, width))
+    logits[:, rng.random(width) < 0.3] -= 100.0
+    pool = rng.choice(width + 2, size=int(rng.integers(1, width + 3)), replace=False)
+    labels = rng.choice(pool, size=n)
+    return logits, labels, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+
+
 class TestEvaluate:
+    def test_matches_the_per_class_loop(self):
+        seen = set()
+        for seed in range(400):
+            logits, labels, nodes = random_scoring_case(np.random.default_rng(seed))
+            assert evaluate(logits, labels, nodes) == per_class_loop_scores(logits, labels, nodes)
+            true = set(labels[nodes].tolist())
+            pred = set(np.argmax(logits[nodes], axis=1).tolist())
+            classes = set(range(max(logits.shape[1], labels.max() + 1)))
+            seen.update(name for name, found in (
+                ("no true member", pred - true),
+                ("no predicted member", true - pred),
+                ("neither", classes - true - pred),
+                ("label beyond the width", {c for c in true if c >= logits.shape[1]})) if found)
+        assert seen == {"no true member", "no predicted member", "neither",
+                        "label beyond the width"}
+
     def test_all_correct(self):
         labels = np.array([0, 1, 2, 1])
         y_hat = np.eye(3)[labels]
